@@ -34,7 +34,6 @@ type t = {
   mutable cycle_ops : int;  (** of [ops], learn-cycle steps *)
   mutable cycle_failed : int;
   mutable errors : string list;
-  mutable promoted : Sorl.Autotuner.t option;  (** the last promoted generation *)
 }
 
 let create () =
@@ -51,7 +50,6 @@ let create () =
     cycle_ops = 0;
     cycle_failed = 0;
     errors = [];
-    promoted = None;
   }
 
 let fail t msg =
@@ -72,9 +70,9 @@ type plan = {
 let mode = Sorl_stencil.Features.Extended
 let solver = Sorl.Autotuner.Dcd Sorl_svmrank.Solver_dcd.default_params
 
-(* One cycle.  [stable] is the serving generation's oracle; the
-   candidate's goes onto [timeline] while its promote is in flight. *)
-let cycle t ~client ~store ~log ~timeline ~stable ~t_flushed =
+(* One cycle.  [stable] is the serving generation's oracle; returns the
+   generation serving after the promote. *)
+let cycle t ~client ~store ~log ~stable ~t_flushed =
   let ( let* ) r f =
     match r with
     | Ok x -> f x
@@ -114,19 +112,15 @@ let cycle t ~client ~store ~log ~timeline ~stable ~t_flushed =
   t.requests <- t.requests + 1;
   let cand = Oracle.gen ~number:(stable.Oracle.number + 1) served in
   let t_promote = Clock.now () in
-  Oracle.promote_sent timeline cand ~at:t_promote;
   let reply = Client.promote client in
   let t_done = Clock.now () in
-  let promoted =
+  let* promoted =
     match reply with
     | Ok (_, g) when g = cand.number -> Ok true
     | Ok (_, g) -> Error (Printf.sprintf "promote: generation %d, expected %d" g cand.number)
     | Error m when String.starts_with ~prefix:"canary-rejected" m -> Ok false
     | Error m -> Error ("promote: " ^ m)
   in
-  Oracle.promote_done timeline cand ~promoted:(promoted = Ok true) ~at:t_done;
-  let* promoted = promoted in
-  if promoted then t.promoted <- Some served;
   let c =
     {
       cycle_s = t_done -. t_flushed;
@@ -144,11 +138,14 @@ let cycle t ~client ~store ~log ~timeline ~stable ~t_flushed =
   t.cycles <- c :: t.cycles;
   Some (if promoted then cand else stable)
 
-(* Stream observations from [next] until the plan's cycles are done
-   and [stop ()] holds, an operation fails or [abort ()] holds. *)
-let run t ~address ~store ~log ~timeline ~stable ~plan ~next ~stop ~abort =
+(* Stream observations from [next] until the plan's cycles are done, an
+   operation fails or [abort ()] holds.  Returns the generation serving
+   at the end: the last promoted one, else [stable]. *)
+let run t ~address ~store ~log ~stable ~plan ~next ~abort =
   match Client.connect ~timeout_s:30. address with
-  | Error m -> fail t ("observer connect: " ^ m)
+  | Error m ->
+    fail t ("observer connect: " ^ m);
+    stable
   | Ok client ->
     let observer = Client.Observer.create client in
     (* Totals carry over from earlier calls on the same [t]. *)
@@ -190,7 +187,7 @@ let run t ~address ~store ~log ~timeline ~stable ~plan ~next ~stop ~abort =
     in
     let cycles_done () = List.length t.cycles >= plan.cycles in
     let n = ref 0 in
-    while !alive && (not (abort ())) && not (cycles_done () && stop ()) do
+    while !alive && (not (abort ())) && not (cycles_done ()) do
       send (next ());
       incr n;
       if !alive && (not (cycles_done ())) && !n > plan.prefill
@@ -199,7 +196,7 @@ let run t ~address ~store ~log ~timeline ~stable ~plan ~next ~stop ~abort =
         (* The batch boundary is also a flush boundary (batch is a
            multiple of the observer's), so every sent observation is
            acknowledged here. *)
-        match cycle t ~client ~store ~log ~timeline ~stable:!stable ~t_flushed:(Clock.now ()) with
+        match cycle t ~client ~store ~log ~stable:!stable ~t_flushed:(Clock.now ()) with
         | Some g -> stable := g
         | None -> alive := false
       end
@@ -211,4 +208,5 @@ let run t ~address ~store ~log ~timeline ~stable ~plan ~next ~stop ~abort =
     | Error m, _ -> fail t ("observe flush: " ^ m));
     if t.rejected > rejected0 then
       fail t (Printf.sprintf "%d observations rejected" (t.rejected - rejected0));
-    Client.close client
+    Client.close client;
+    !stable

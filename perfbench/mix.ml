@@ -24,12 +24,14 @@ let make_read ~benchmark ~top ~approx_ok =
 (* ---- serve-hot: the 68 keys the server warms ---- *)
 
 (* Mirrors the server's warm set: tune plus rank at each warmed depth,
-   for every Table III benchmark. *)
+   for every Table III benchmark.  The run fails if a serve-hot read
+   misses the result cache, so a change to the warm set shows. *)
 let warm_tops = [| 0; 1; 3; 10 |]
 
 (* Zipf(1) popularity over the benchmarks in a seeded order; the verb
-   is drawn independently with fixed shares, so reply sizes keep the
-   same mix whichever benchmarks the seed makes popular. *)
+   is drawn independently and uniformly from the four warmed ones, so
+   reply sizes keep the same mix whichever benchmarks the seed makes
+   popular. *)
 let hot ~seed =
   let rng = Sorl_util.Rng.create (Sorl_util.Rng.derive_seed seed 1) in
   let order = Array.copy instances in
@@ -52,38 +54,63 @@ let hot ~seed =
         !acc)
       w
   in
-  let verb_cdf = [| 0.4; 0.6; 0.8; 1.0 |] in
   let pick cdf u =
     let rec go i = if i >= Array.length cdf - 1 || u < cdf.(i) then i else go (i + 1) in
     go 0
   in
   fun () ->
     let b = pick cdf (Sorl_util.Rng.uniform rng) in
-    let v = pick verb_cdf (Sorl_util.Rng.uniform rng) in
-    reads.(b).(v)
+    reads.(b).(Sorl_util.Rng.int rng (Array.length warm_tops))
 
 (* ---- serve-cold: heavy-tailed depths, far more keys than the cache ---- *)
 
-(* Uniform benchmark; 5% tune, else rank with a log-uniform depth in
-   [16, n] and 3% full ranks (k = n); a quarter of reads are bang
-   verbs.  17 benchmarks x thousands of depths dwarf the 1024-entry
-   result cache, so most reads reach the ranking stack, and the median
-   read sits inside the cold latency distribution rather than on the
-   edge between cache hits and misses. *)
+(* Uniform benchmark; 5% tune, 3% full ranks (k = n), else rank with a
+   log-uniform (density 1/k) depth in [1, n]; a quarter of reads are
+   bang verbs.  17 benchmarks x thousands of depths dwarf the
+   1024-entry result cache, so most reads reach the ranking stack; the
+   shallow depths repeat and are served from it.
+
+   The draws are stratified: each block of 17 x [strata] reads gives
+   every benchmark one shape from each interval [i/strata,
+   (i+1)/strata), and every four reads hold one bang verb, all in
+   seeded order.  The distribution is unchanged, but every run carries the
+   stated shares almost exactly: a cache hit costs about 50 us, a 2-D
+   miss about 1 ms and a 3-D miss several, so a run of a few thousand
+   iid reads would sample a different latency mix with every seed. *)
+let strata = 100
+
 let cold ~seed =
   let rng = Sorl_util.Rng.create (Sorl_util.Rng.derive_seed seed 2) in
+  let nb = Array.length instances in
+  let block = Array.make (nb * strata) (0, 0.) and next = ref (nb * strata) in
+  let bang = Array.make 4 false and next_bang = ref 4 in
   fun () ->
-    let inst = instances.(Sorl_util.Rng.int rng (Array.length instances)) in
+    if !next = Array.length block then begin
+      Array.iteri
+        (fun i _ ->
+          let u = (float_of_int (i mod strata) +. Sorl_util.Rng.uniform rng) /. float_of_int strata in
+          block.(i) <- (i / strata, u))
+        block;
+      Sorl_util.Rng.shuffle rng block;
+      next := 0
+    end;
+    if !next_bang = 4 then begin
+      Array.iteri (fun i _ -> bang.(i) <- i = 0) bang;
+      Sorl_util.Rng.shuffle rng bang;
+      next_bang := 0
+    end;
+    let b, u = block.(!next) in
+    incr next;
+    let approx_ok = bang.(!next_bang) in
+    incr next_bang;
+    let inst = instances.(b) in
     let n = grid_size inst in
-    let approx_ok = Sorl_util.Rng.uniform rng < 0.25 in
-    let u = Sorl_util.Rng.uniform rng in
     let top =
       if u < 0.05 then 0
       else if u < 0.08 then n
       else
-        let lo = log 16. in
-        let x = exp (lo +. (Sorl_util.Rng.uniform rng *. (log (float_of_int n) -. lo))) in
-        max 16 (min n (int_of_float x))
+        let x = exp ((u -. 0.08) /. 0.92 *. log (float_of_int (n + 1))) in
+        max 1 (min n (int_of_float x))
     in
     make_read ~benchmark:(Instance.name inst) ~top ~approx_ok
 

@@ -78,36 +78,3 @@ let matches g (read : Mix.read) reply =
    counted. *)
 let is_approx reply =
   String.starts_with ~prefix:"ok rank~ " reply || String.starts_with ~prefix:"ok tune~ " reply
-
-(* ---- generations live during a read ---- *)
-
-(* A generation is acceptable for a read sent at [ts] and answered at
-   [tr] when its live interval [from, until] intersects [ts, tr].  A
-   promote in flight adds the candidate from the moment the promote is
-   sent; a successful promote closes the old generation's interval when
-   its reply arrives, a rollback withdraws the candidate. *)
-type live = { g : gen; from : float; until : float }
-
-type timeline = live list Atomic.t
-
-let timeline g0 : timeline = Atomic.make [ { g = g0; from = neg_infinity; until = infinity } ]
-
-(* The generation serving now (no promote in flight). *)
-let live (tl : timeline) = (List.find (fun l -> l.until = infinity) (Atomic.get tl)).g
-
-let promote_sent (tl : timeline) cand ~at =
-  Atomic.set tl ({ g = cand; from = at; until = infinity } :: Atomic.get tl)
-
-let promote_done (tl : timeline) cand ~promoted ~at =
-  Atomic.set tl
-    (List.filter_map
-       (fun l ->
-         if l.g == cand then if promoted then Some l else None
-         else if promoted && l.until = infinity then Some { l with until = at }
-         else Some l)
-       (Atomic.get tl))
-
-let check (tl : timeline) read reply ~ts ~tr =
-  List.exists
-    (fun l -> l.from <= tr && l.until >= ts && matches l.g read reply)
-    (Atomic.get tl)

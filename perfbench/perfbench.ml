@@ -13,15 +13,14 @@
      popularity; every read is a result-cache hit.
    - serve-cold: rank/tune with heavy-tailed depths up to the whole
      grid, a quarter bang verbs; most reads reach the ranking stack.
-   - learn: the serve-hot read mix on one connection while a second
-     streams observations and runs learn cycles (retrain, publish,
-     canary, promote).
    Reads are closed-loop on one connection: the next request goes out
    when the previous reply arrives, like a compile step waiting for its
    tuning.  One connection leaves a core for the server's reactor and
    worker on a 2-core host, so the figures track the server rather than
-   scheduler queueing.  The serve workloads also run learn cycles on a
-   second connection, before and after the read window, so every run
+   scheduler queueing.  The window opens after [warmup_reads] reads,
+   which are checked and counted but not timed.  After the window, both
+   workloads stream observations and run learn cycles (retrain,
+   publish, canary, promote) on a second connection, so every run
    reports the learn metrics.
 
    --trace 0 prints the end-to-end metrics, --trace 1 the per-layer
@@ -33,7 +32,7 @@
    functions.
 
    Usage: perfbench --workload W --seed N --seconds S --trace 0|1
-            --server PATH [--commit C] [--source DIGEST] *)
+            --server PATH [--commit C] *)
 
 module Client = Sorl_serve.Client
 module Protocol = Sorl_serve.Protocol
@@ -69,14 +68,13 @@ type args = {
   trace : bool;
   server_bin : string;
   commit : string;
-  source : string;
 }
 
-let workloads = [ "serve-hot"; "serve-cold"; "learn" ]
+let workloads = [ "serve-hot"; "serve-cold" ]
 
 let parse_args () =
   let workload = ref "" and seed = ref (-1) and seconds = ref 0. and trace = ref (-1) in
-  let server = ref "" and commit = ref "unknown" and source = ref "unknown" in
+  let server = ref "" and commit = ref "unknown" in
   let specs =
     [
       ("--workload", Arg.Set_string workload, "W one of " ^ String.concat ", " workloads);
@@ -84,8 +82,7 @@ let parse_args () =
       ("--seconds", Arg.Set_float seconds, "S length of the measured window");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end (0) or per-layer (1) metrics");
       ("--server", Arg.Set_string server, "PATH the sorl_tune executable");
-      ("--commit", Arg.Set_string commit, "C commit of the sources (provenance)");
-      ("--source", Arg.Set_string source, "D digest of the sources (provenance)");
+      ("--commit", Arg.Set_string commit, "C commit or digest of the sources (provenance)");
     ]
   in
   let usage = "perfbench --workload W --seed N --seconds S --trace 0|1 --server PATH" in
@@ -107,7 +104,6 @@ let parse_args () =
     trace = !trace = 1;
     server_bin = !server;
     commit = !commit;
-    source = !source;
   }
 
 (* ---- the server process ---- *)
@@ -269,7 +265,7 @@ let read_timeout_s = 30.
 
 let note_error r m = if List.length r.errors < 5 then r.errors <- m :: r.errors
 
-let finish (r : reads) timeline (read : Mix.read) outcome ~ts ~tr =
+let finish (r : reads) (g : Oracle.gen) (read : Mix.read) outcome ~ts ~tr =
   Samples.add r.sent_at ts;
   let failed m =
     r.failed <- r.failed + 1;
@@ -285,7 +281,7 @@ let finish (r : reads) timeline (read : Mix.read) outcome ~ts ~tr =
       r.succeeded <- r.succeeded + 1;
       Samples.add r.lat (tr -. ts)
     end
-    else if Oracle.check timeline read line ~ts ~tr then begin
+    else if Oracle.matches g read line then begin
       r.succeeded <- r.succeeded + 1;
       Samples.add r.lat (tr -. ts)
     end
@@ -297,25 +293,28 @@ let finish (r : reads) timeline (read : Mix.read) outcome ~ts ~tr =
     end
 
 (* Read throughput, p50 and p99 (ms) of the reads sent in [t0, t1]:
-   the window is cut into up to ten equal slices of at least 1000 reads
-   each (so every slice's p99 has ten samples beyond it) and each
-   figure is the median over the slices, which keeps a few seconds of
-   noise from a neighbouring tenant out of the result. *)
+   the window is cut into up to ten equal slices and each figure is the
+   median over the slices, which keeps a few seconds of noise from a
+   neighbouring tenant out of the result.  Throughput uses slices of at
+   least 100 reads; percentile slices hold at least 1000, so every
+   slice's p99 has ten samples beyond it. *)
 let read_metrics (r : reads) ~t0 ~t1 =
   let lat = Samples.to_array r.lat and ts = Samples.to_array r.sent_at in
-  let slices = max 1 (min 10 (Array.length lat / 1000)) in
-  let width = (t1 -. t0) /. float_of_int slices in
-  let buckets = Array.make slices [] in
-  Array.iteri
-    (fun i l ->
-      let b = max 0 (min (slices - 1) (int_of_float ((ts.(i) -. t0) /. width))) in
-      buckets.(b) <- l :: buckets.(b))
-    lat;
-  let per f = median (Array.to_list (Array.map (fun b -> f (Array.of_list b)) buckets)) in
+  let sliced ~min_reads f =
+    let slices = max 1 (min 10 (Array.length lat / min_reads)) in
+    let width = (t1 -. t0) /. float_of_int slices in
+    let buckets = Array.make slices [] in
+    Array.iteri
+      (fun i l ->
+        let b = max 0 (min (slices - 1) (int_of_float ((ts.(i) -. t0) /. width))) in
+        buckets.(b) <- l :: buckets.(b))
+      lat;
+    median (Array.to_list (Array.map (fun b -> f ~width (Array.of_list b)) buckets))
+  in
   let served b = Array.fold_left (fun n l -> if l < read_timeout_s then n + 1 else n) 0 b in
-  ( per (fun b -> float_of_int (served b) /. width),
-    per (fun b -> percentile b 50. *. 1000.),
-    per (fun b -> percentile b 99. *. 1000.) )
+  ( sliced ~min_reads:100 (fun ~width b -> float_of_int (served b) /. width),
+    sliced ~min_reads:1000 (fun ~width:_ b -> percentile b 50. *. 1000.),
+    sliced ~min_reads:1000 (fun ~width:_ b -> percentile b 99. *. 1000.) )
 
 (* ---- stats over the wire ---- *)
 
@@ -325,36 +324,24 @@ let ratio a b = if a + b = 0 then 0. else float_of_int a /. float_of_int (a + b)
 
 (* ---- the run ---- *)
 
-type learn_plan = {
-  before : Learner.plan option;  (** cycles run before the read window *)
-  plan : Learner.plan;  (** the rest; [cycles] counts the whole run *)
-  concurrent : bool;  (** beside the reads, or after them *)
-}
-
-(* The learn workload does a fixed amount of work, so its metrics
-   compare across versions: 4096 observations, then
-   [learn_cycles_per_s] cycles per second of [--seconds] (sized so the
-   plan takes about the window on a 2-core host) 256 observations
-   apart, with reads running until the last promote.  The serve
-   workloads stream 2048 observations and then run eight cycles 256
-   observations apart, half before the read window and half after it,
-   so a few seconds of noise from a neighbouring tenant cannot move all
-   of them.  Small batches after a prefill keep the cycles on logs of
-   similar size, so their median does not depend on which promote. *)
-let learn_cycles_per_s = 1.3
-
-let learn_plan workload ~seconds =
-  if workload = "learn" then
-    let cycles = max 2 (int_of_float (Float.round (seconds *. learn_cycles_per_s))) in
-    { before = None; plan = { Learner.prefill = 4096; batch = 256; cycles }; concurrent = true }
-  else
-    {
-      before = Some { Learner.prefill = 2048; batch = 256; cycles = 4 };
-      plan = { Learner.prefill = 0; batch = 256; cycles = 8 };
-      concurrent = false;
-    }
+(* The learn cycles run after the read window, so every seed reads
+   against the same model, and do a fixed amount of work, so their
+   metrics compare across versions: 2048 observations, then sixteen
+   cycles 256 observations apart.  Sixteen leave several promoted
+   cycles even for a seed whose candidates are mostly rolled back.
+   A cycle's time grows with the log (about a fifth from the first
+   cycle to the last), so which cycles promote moves the median a
+   little; larger prefills with smaller batches did not make it
+   steadier on a 2-core host. *)
+let learn_plan = { Learner.prefill = 2048; batch = 256; cycles = 16 }
 
 let setups = 5
+
+(* Reads sent before the window opens: enough to fill the result
+   cache's 1024 entries on serve-cold and turn some over, so the window
+   sees the cache's steady state rather than its fill-up from the 68
+   keys the server warms.  Without it, p50 fell through the window. *)
+let warmup_reads = 2000
 
 type result = {
   correct : bool;
@@ -398,7 +385,6 @@ let run args ~workdir =
     kvs
   in
   let g0 = Oracle.gen ~number:0 (ok "store load" (Sorl_serve.Model_store.load srv.store ~name:"default")) in
-  let timeline = Oracle.timeline g0 in
   let cold = args.workload = "serve-cold" in
   let next_read = if cold then Mix.cold ~seed:args.seed else Mix.hot ~seed:args.seed in
   (* Traced runs record every finished read with its latency (nan
@@ -416,38 +402,28 @@ let run args ~workdir =
     end
   in
   let next_obs = Mix.observations ~seed:args.seed in
-  let { before; plan; concurrent } = learn_plan args.workload ~seconds:args.seconds in
   let learner = Learner.create () in
   let hard_deadline = t_bench +. 150. in
-  let run_learner ~plan ~stop =
-    Learner.run learner ~address:(address srv) ~store:srv.store ~log:srv.obs_log ~timeline
-      ~stable:(Oracle.live timeline) ~plan ~next:next_obs ~stop
+  let run_learner ~plan ~stable =
+    Learner.run learner ~address:(address srv) ~store:srv.store ~log:srv.obs_log ~stable ~plan
+      ~next:next_obs
       ~abort:(fun () -> now () > hard_deadline)
   in
+  Oracle.prepare g0 ~k:(if cold then max_int else Oracle.shallow);
   let s0 = ctl_stats () in
   ctl_requests := 0;
-  Option.iter (fun plan -> run_learner ~plan ~stop:(fun () -> true)) before;
-  Oracle.prepare (Oracle.live timeline) ~k:(if cold then max_int else Oracle.shallow);
-  (* ---- the read window ---- *)
-  let t_start = now () in
-  let t_end = t_start +. args.seconds in
-  let t_mid = if args.trace then t_start +. (args.seconds /. 2.) else infinity in
-  let learner_done = Atomic.make (not concurrent) in
-  let learner_domain =
-    if concurrent then
-      Some
-        (Domain.spawn (fun () ->
-             Fun.protect
-               ~finally:(fun () -> Atomic.set learner_done true)
-               (fun () -> run_learner ~plan ~stop:(fun () -> true))))
-    else None
-  in
-  let halves = [| new_reads (); new_reads () |] in
+  (* ---- the read window, after [warmup_reads] unmeasured reads ---- *)
+  let t_start = ref infinity and t_end = ref infinity and t_mid = ref infinity in
+  let n_next = ref 0 in
+  (* Reads of the warm-up, the untraced (first) half and the traced
+     (second) half. *)
+  let phases = [| new_reads (); new_reads (); new_reads () |] in
+  let phase_of ts = phases.(if ts < !t_start then 0 else if ts < !t_mid then 1 else 2) in
   let conns = Wire.open_conns srv.sock 1 in
   let s_mid = ref None and queue_max = ref 0 and last_poll = ref 0. in
   let tick () =
     let t = now () in
-    if t >= t_mid then begin
+    if t >= !t_mid then begin
       if !s_mid = None then s_mid := Some (ctl_stats ());
       if t -. !last_poll >= 0.01 then begin
         last_poll := t;
@@ -455,25 +431,29 @@ let run args ~workdir =
       end
     end
   in
-  let half ts = if ts >= t_mid then halves.(1) else halves.(0) in
   Wire.run conns
     ~next:(fun () ->
-      let h = half (now ()) in
+      let t = now () in
+      if !n_next = warmup_reads then begin
+        t_start := t;
+        t_end := t +. args.seconds;
+        if args.trace then t_mid := t +. (args.seconds /. 2.)
+      end;
+      incr n_next;
+      let h = phase_of t in
       h.sent <- h.sent + 1;
       next_read ())
     ~finish:(fun read outcome ~ts ~tr ->
       record read outcome ~ts ~tr;
-      finish (half ts) timeline read outcome ~ts ~tr)
-    ~stop:(fun () ->
-      let t = now () in
-      (if concurrent then Atomic.get learner_done else t >= t_end) || t > hard_deadline)
+      finish (phase_of ts) g0 read outcome ~ts ~tr)
+    ~stop:(fun () -> now () >= !t_end)
     ~tick ~timeout_s:read_timeout_s;
+  let t_start = !t_start and t_mid = !t_mid in
   let t_reads_end = now () in
   List.iter Wire.close_conn conns;
-  Option.iter Domain.join learner_domain;
   let s_window = ctl_stats () in
-  (* ---- the serve workloads' remaining learn cycles ---- *)
-  if not concurrent then run_learner ~plan ~stop:(fun () -> true);
+  (* ---- the learn cycles ---- *)
+  let last_live = run_learner ~plan:learn_plan ~stable:g0 in
   let rss_mb = peak_rss_mb srv.pid in
   let s_end = ctl_stats () in
   let obs_replayed = List.length (fst (ok "obs replay" (Sorl_learn.Obs_log.replay srv.obs_log))) in
@@ -482,23 +462,31 @@ let run args ~workdir =
   (* ---- checks ---- *)
   let problems = ref [] in
   let check cond msg = if not cond then problems := msg :: !problems in
-  let all_reads =
-    let a = halves.(0) and b = halves.(1) in
+  let merge (hs : reads list) =
     let r = new_reads () in
     List.iter
       (fun (h : reads) ->
         Array.iter (Samples.add r.lat) (Samples.to_array h.lat);
-        Array.iter (Samples.add r.sent_at) (Samples.to_array h.sent_at))
-      [ a; b ];
-    r.sent <- a.sent + b.sent;
-    r.succeeded <- a.succeeded + b.succeeded;
-    r.failed <- a.failed + b.failed;
-    r.wrong <- a.wrong + b.wrong;
-    r.approx <- a.approx + b.approx;
-    r.errors <- a.errors @ b.errors;
+        Array.iter (Samples.add r.sent_at) (Samples.to_array h.sent_at);
+        r.sent <- r.sent + h.sent;
+        r.succeeded <- r.succeeded + h.succeeded;
+        r.failed <- r.failed + h.failed;
+        r.wrong <- r.wrong + h.wrong;
+        r.approx <- r.approx + h.approx;
+        r.errors <- r.errors @ h.errors)
+      hs;
     r
   in
+  let all_reads = merge (Array.to_list phases) in
+  let measured = merge [ phases.(1); phases.(2) ] in
   check (all_reads.wrong = 0) (Printf.sprintf "%d replies failed the oracle" all_reads.wrong);
+  (* serve-hot reads only the keys the server warms; a miss means the
+     mix no longer matches the server's warm set. *)
+  if not cold then
+    check
+      (delta s0 s_window "result_cache_misses" = 0)
+      (Printf.sprintf "serve-hot: %d result-cache misses in the read window"
+         (delta s0 s_window "result_cache_misses"));
   let sent_total = all_reads.sent + learner.requests + !ctl_requests in
   check
     (delta s0 s_end "requests" = sent_total)
@@ -516,8 +504,8 @@ let run args ~workdir =
     (learner.acked = obs_replayed)
     (Printf.sprintf "%d observations acknowledged, Obs_log.replay returned %d" learner.acked
        obs_replayed);
-  check (List.length learner.cycles = plan.cycles)
-    (Printf.sprintf "%d of %d learn cycles ran" (List.length learner.cycles) plan.cycles);
+  check (List.length learner.cycles = learn_plan.cycles)
+    (Printf.sprintf "%d of %d learn cycles ran" (List.length learner.cycles) learn_plan.cycles);
   List.iter (fun m -> check false ("learn: " ^ m)) learner.errors;
   let last_cycle = match learner.cycles with c :: _ -> Some c | [] -> None in
   (* The last incremental retrain must equal a full cold retrain over
@@ -536,7 +524,7 @@ let run args ~workdir =
         "incremental retrain weights differ from a full replay retrain")
     last_cycle;
   (* ---- metrics ---- *)
-  let rps, p50, p99 = read_metrics all_reads ~t0:t_start ~t1:t_reads_end in
+  let rps, p50, p99 = read_metrics measured ~t0:t_start ~t1:t_reads_end in
   let cycles = learner.cycles in
   let cyc f = median (List.map f cycles) in
   (* A cycle's generation goes live only when it is promoted; a rolled
@@ -553,8 +541,7 @@ let run args ~workdir =
         (fun (o : Sorl_learn.Obs_log.obs) -> not (Hashtbl.mem seen (o.benchmark, o.tuning)))
         (Mix.evaluation ~seed:args.seed ~per_benchmark:256)
     in
-    let live = Option.value ~default:g0.tuner learner.promoted in
-    Option.value ~default:0. (Trainer.holdout_tau live held)
+    Option.value ~default:0. (Trainer.holdout_tau last_live.tuner held)
   in
   check (holdout_tau > 0.) "held-out tau of the serving generation is not positive";
   let e2e =
@@ -572,8 +559,8 @@ let run args ~workdir =
   let attempted = all_reads.sent + learner.ops in
   let failed = all_reads.failed + learner.failed in
   let layers () =
-    let rps_t, p50_t, p99_t = read_metrics halves.(1) ~t0:t_mid ~t1:t_reads_end in
-    let rps_u, p50_u, p99_u = read_metrics halves.(0) ~t0:t_start ~t1:t_mid in
+    let rps_t, p50_t, p99_t = read_metrics phases.(2) ~t0:t_mid ~t1:t_reads_end in
+    let rps_u, p50_u, p99_u = read_metrics phases.(1) ~t0:t_start ~t1:t_mid in
     let a = Option.value ~default:s0 !s_mid and b = s_window in
     let d = delta a b in
     let recorded = Array.of_list (List.rev !recorded) in
@@ -612,7 +599,7 @@ let run args ~workdir =
       ("autotuner.scored_per_miss", sv.scored_per_miss, "count");
       ("autotuner.pruned_ratio", sv.pruned_ratio, "ratio");
       ("neighbor.hit_ratio", ratio (d "neighbor_hits") (d "neighbor_misses"), "ratio");
-      ("neighbor.approx_replies", float_of_int halves.(1).approx, "count");
+      ("neighbor.approx_replies", float_of_int phases.(2).approx, "count");
       ("obs_log.append_us", ln.append_us, "us");
       ("observe.flush_ms", median learner.flush_ms, "ms");
       ("obs_log.segments", float_of_int (stat s_end "obs_log_segments"), "count");
@@ -643,9 +630,9 @@ let run args ~workdir =
   let metrics = if args.trace then layers () else e2e in
   (* ---- report ---- *)
   Printf.printf
-    "provenance: workload=%s seed=%d seconds=%g trace=%b commit=%s source=%s nproc=%d ocaml=%s \
-     pool=%d server_workers=%s\n"
-    args.workload args.seed args.seconds args.trace args.commit args.source
+    "provenance: workload=%s seed=%d seconds=%g trace=%b commit=%s nproc=%d ocaml=%s pool=%d \
+     server_workers=%s\n"
+    args.workload args.seed args.seconds args.trace args.commit
     (Domain.recommended_domain_count ())
     Sys.ocaml_version
     (Sorl_util.Pool.default_domains ())
@@ -660,7 +647,8 @@ let run args ~workdir =
       Printf.printf "setup %d: %.3f s (generate %.3f, fit %.3f, start %.3f)\n" i s.setup_s
         s.generate_s s.fit_s s.start_s)
     setups_done;
-  phase "reads" all_reads.sent all_reads.failed;
+  phase "warm-up" phases.(0).sent phases.(0).failed;
+  phase "reads" measured.sent measured.failed;
   let observed = List.length learner.sent in
   phase "observe" observed (observed - learner.acked);
   phase "learn" learner.cycle_ops learner.cycle_failed;
@@ -672,9 +660,28 @@ let run args ~workdir =
         i c.cycle_s c.acked_at c.retrain_s c.publish_ms c.canary_ms c.promote_ms
         (if c.promoted then "promoted" else "rolled back"))
     (List.rev learner.cycles);
-  Printf.printf "reads: %d samples, %d approximate (not compared)\n"
-    (Array.length (Samples.to_array all_reads.lat))
+  Printf.printf "reads: %d measured samples, %d approximate (not compared)\n"
+    (Array.length (Samples.to_array measured.lat))
     all_reads.approx;
+  (let ts = Samples.to_array measured.sent_at in
+   let slices = 10 in
+   let width = (t_reads_end -. t_start) /. float_of_int slices in
+   let counts = Array.make slices 0 in
+   Array.iter
+     (fun t ->
+       let b = max 0 (min (slices - 1) (int_of_float ((t -. t_start) /. width))) in
+       counts.(b) <- counts.(b) + 1)
+     ts;
+   Printf.printf "read rps by tenth of the window:%s\n"
+     (String.concat ""
+        (Array.to_list
+           (Array.map (fun c -> Printf.sprintf " %.0f" (float_of_int c /. width)) counts))));
+  (let lat = Samples.to_array measured.lat in
+   Printf.printf "read latency (ms):%s\n"
+     (String.concat ""
+        (List.map
+           (fun p -> Printf.sprintf " p%g %.3f" p (percentile lat p *. 1000.))
+           [ 10.; 50.; 90.; 99. ])));
   List.iter (fun m -> Printf.printf "read error: %s\n" m) all_reads.errors;
   if args.trace then
     List.iter

@@ -27,19 +27,18 @@ def fail(msg):
     sys.exit(1)
 
 
-def commit():
+def provenance():
+    """The git commit of the sources, or an MD5 over them when the tree
+    is an export rather than a git checkout."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10, check=True,
         )
-        return out.stdout.strip() or "none"
+        if out.stdout.strip():
+            return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        return "none"
-
-
-def source_digest():
-    """MD5 over the program's sources, for runs outside a git checkout."""
+        pass
     h = hashlib.md5()
     for top in SOURCE_DIRS:
         for root, dirs, files in os.walk(top):
@@ -49,7 +48,7 @@ def source_digest():
                 h.update(path.encode())
                 with open(path, "rb") as f:
                     h.update(f.read())
-    return h.hexdigest()[:12]
+    return "md5:" + h.hexdigest()[:12]
 
 
 def run_group(cmd, timeout_s, **kw):
@@ -79,9 +78,7 @@ def main():
         fail(f"build failed (dune exit {build})")
     exe = os.path.join("_build", "default", "perfbench", "perfbench.exe")
     server = os.path.join("_build", "default", "bin", "sorl_tune.exe")
-    cmd = [exe] + sys.argv[1:] + [
-        "--server", server, "--commit", commit(), "--source", source_digest(),
-    ]
+    cmd = [exe] + sys.argv[1:] + ["--server", server, "--commit", provenance()]
     sys.stdout.flush()
     code = run_group(cmd, RUN_TIMEOUT_S)
     if code != 0:
