@@ -1132,7 +1132,7 @@ let rank_throughput () =
 (* ---- Serve throughput: the socket server vs in-process ranking ---- *)
 
 let serve_throughput () =
-  header "Serve throughput: cold (cache off) and hot (warmed cache) vs direct rank";
+  header "Serve throughput: cold (no warm) and hot (warmed) vs direct rank";
   let m = Sorl_machine.Measure.model machine in
   let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
   let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
@@ -1155,11 +1155,10 @@ let serve_throughput () =
   (match Sorl_serve.Model_store.save store ~name:"default" tuner with
   | Ok () -> ()
   | Error m -> failwith m);
-  let start_server ~cache_capacity ~warm name =
+  let start_server ~warm name =
     let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
     match
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~cache_capacity
-        ~warm
+      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~warm
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok s -> s
@@ -1201,8 +1200,8 @@ let serve_throughput () =
       lat;
     (Array.of_list !rank, Array.of_list !tune)
   in
-  (* Exact reply bytes, below the typed client — for the cached =
-     uncached identity gate. *)
+  (* Exact reply bytes, below the typed client — for the cold = hot
+     identity gate. *)
   let raw_ask address line =
     match address with
     | Sorl_serve.Protocol.Unix_path path ->
@@ -1233,10 +1232,11 @@ let serve_throughput () =
       Printf.printf "WARNING: control connection failed: %s\n" m;
       List.map (fun _ -> 0) keys
   in
-  (* ---- cold: cache disabled, every request pays a full scoring pass
-     (the PR-4 configuration, so the factor below is comparable) ---- *)
+  (* ---- cold: nothing ranked at start; the first request ranks the
+     benchmark (concurrent first requests wait for that one build), the
+     rest slice the resident ranking ---- *)
   Sorl_util.Telemetry.reset ();
-  let cold_server = start_server ~cache_capacity:0 ~warm:false "cold.sock" in
+  let cold_server = start_server ~warm:false "cold.sock" in
   let cold_addr = Sorl_serve.Server.address cold_server in
   let cold_clients = 4 and cold_per = 50 in
   let cold_total = cold_clients * cold_per in
@@ -1265,13 +1265,10 @@ let serve_throughput () =
     else float_of_int followers /. float_of_int (leaders + followers)
   in
   let factor = direct_rps /. cold_rps in
-  (* ---- hot: default cache, warmed at start — repeated queries are an
-     LRU lookup plus one write ---- *)
+  (* ---- hot: every ranking built at start — each query is a slice
+     plus one write ---- *)
   Sorl_util.Telemetry.reset ();
-  let hot_server =
-    start_server ~cache_capacity:Sorl_serve.Result_cache.default_capacity ~warm:true
-      "hot.sock"
-  in
+  let hot_server = start_server ~warm:true "hot.sock" in
   let hot_addr = Sorl_serve.Server.address hot_server in
   let hot_clients = 4 and hot_per = 200 in
   let hot_total = hot_clients * hot_per in
@@ -1321,8 +1318,9 @@ let serve_throughput () =
   let total_errors = Atomic.get protocol_errors in
   Printf.printf "direct rank: %.1f req/s\n" direct_rps;
   Printf.printf
-    "cold (cache off, %d clients x %d): %.1f req/s (%.2fx slower than direct), p50 %s, p99 %s\n"
-    cold_clients cold_per cold_rps factor (Table.fmt_time cold_p50) (Table.fmt_time cold_p99);
+    "cold (no warm, %d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
+    cold_clients cold_per cold_rps (cold_rps /. direct_rps) (Table.fmt_time cold_p50)
+    (Table.fmt_time cold_p99);
   Printf.printf "  per verb: rank p50 %s p99 %s | tune p50 %s p99 %s\n"
     (Table.fmt_time (Stats.percentile cold_rank_lat 50.))
     (Table.fmt_time (Stats.percentile cold_rank_lat 99.))
@@ -1331,12 +1329,12 @@ let serve_throughput () =
   Printf.printf "  batching: %d leaders, %d followers (%.0f%% coalesced)\n" leaders
     followers (100. *. hit_rate);
   Printf.printf
-    "hot (warmed cache, %d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
+    "hot (warmed, %d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
     hot_clients hot_per
     (float_of_int hot_total /. hot_wall)
     (float_of_int hot_total /. hot_wall /. direct_rps)
     (Table.fmt_time hot_p50) (Table.fmt_time hot_p99);
-  Printf.printf "  cache: %d hits, %d misses; pipelined %d; pipeline(%d): %.1f req/s\n"
+  Printf.printf "  rankings: %d hits, %d misses; pipelined %d; pipeline(%d): %.1f req/s\n"
     cache_hits cache_misses pipelined pipeline_depth pipeline_rps;
   Printf.printf
     "replies byte-identical (cold = hot = hot again): %b; protocol errors: %d\n"
@@ -1406,9 +1404,9 @@ let serve_throughput () =
     (Printf.sprintf "hot throughput gate: %.1f req/s below direct %.1f" hot_rps direct_rps);
   flag (hot_p50 > 0.005)
     (Printf.sprintf "hot latency gate: p50 %.2f ms > 5 ms" (hot_p50 *. 1000.));
-  flag (not identical) "cached and uncached replies are not byte-identical";
+  flag (not identical) "cold and hot replies are not byte-identical";
   flag (cache_hits < hot_total)
-    (Printf.sprintf "cache hits %d below hot request count %d" cache_hits hot_total);
+    (Printf.sprintf "ranking hits %d below hot request count %d" cache_hits hot_total);
   match !problems with
   | [] -> print_endline "OK: serve-throughput gates passed"
   | ps ->
@@ -1442,7 +1440,7 @@ let cold_rank () =
     let set = Tuning.predefined_set ~dims in
     let n = Array.length set in
     let enc = Features.compile Features.Extended inst in
-    let full () = Array.sub (Sorl.Autotuner.rank_compiled tuner enc set) 0 k in
+    let full () = Array.map (fun i -> set.(i)) (Array.sub (Sorl.Autotuner.rank_order tuner enc set) 0 k) in
     let sel () =
       let idx = Array.make (Features.max_nnz enc) 0 in
       let v = Array.make (Features.max_nnz enc) 0. in
@@ -1482,94 +1480,6 @@ let cold_rank () =
   flag
     (s3.Sorl.Autotuner.cubes_pruned = 0 && s2.Sorl.Autotuner.cubes_pruned = 0)
     "pruning never fired on either benchmark";
-  (* ---- serve: the PR-5 cold configuration (cache off, full sort)
-     against the same server with the top-k path, identical load ---- *)
-  let dir = Filename.temp_dir "sorl-cold-bench" "" in
-  let store =
-    match Sorl_serve.Model_store.open_dir dir with Ok s -> s | Error m -> failwith m
-  in
-  (match Sorl_serve.Model_store.save store ~name:"default" tuner with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  let start_server ~topk name =
-    let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
-    match
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~cache_capacity:0
-        ~warm:false ~topk
-        (Sorl_serve.Server.Store (store, "default"))
-    with
-    | Ok s -> s
-    | Error m -> failwith m
-  in
-  let benchmark = "gradient-256x256x256" in
-  let errors = Atomic.make 0 in
-  let run_load address ~clients ~per_client =
-    let (), wall =
-      Sorl_util.Timer.time (fun () ->
-          Sorl_util.Pool.parallel_for ~domains:clients clients (fun _ ->
-              match Sorl_serve.Client.connect ~retry_for_s:5. address with
-              | Error _ -> Atomic.fetch_and_add errors per_client |> ignore
-              | Ok c ->
-                for _ = 1 to per_client do
-                  match Sorl_serve.Client.rank c ~benchmark ~top:k with
-                  | Ok (_ :: _) -> ()
-                  | Ok [] | Error _ -> Atomic.incr errors
-                done;
-                Sorl_serve.Client.close c))
-    in
-    wall
-  in
-  let raw_ask address line =
-    match address with
-    | Sorl_serve.Protocol.Unix_path path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-      output_string oc (line ^ "\n");
-      flush oc;
-      let reply = input_line ic in
-      close_out_noerr oc;
-      reply
-    | _ -> assert false
-  in
-  let query = Printf.sprintf "sorl1 rank %s %d" benchmark k in
-  let clients = 4 and per_client = 50 in
-  let total = clients * per_client in
-  let base_server = start_server ~topk:false "base.sock" in
-  let base_addr = Sorl_serve.Server.address base_server in
-  let base_wall = run_load base_addr ~clients ~per_client in
-  let base_reply = raw_ask base_addr query in
-  Sorl_serve.Server.stop base_server;
-  Sorl_serve.Server.wait base_server;
-  let fast_server = start_server ~topk:true "fast.sock" in
-  let fast_addr = Sorl_serve.Server.address fast_server in
-  let fast_wall = run_load fast_addr ~clients ~per_client in
-  let fast_reply = raw_ask fast_addr query in
-  let stats_kvs =
-    match
-      Sorl_serve.Client.with_connection fast_addr (fun c -> Sorl_serve.Client.stats c)
-    with
-    | Ok kvs -> kvs
-    | Error m ->
-      Printf.printf "WARNING: stats connection failed: %s\n" m;
-      []
-  in
-  Sorl_serve.Server.stop fast_server;
-  Sorl_serve.Server.wait fast_server;
-  let sget key = Option.value ~default:0 (List.assoc_opt key stats_kvs) in
-  let base_rps = float_of_int total /. base_wall in
-  let fast_rps = float_of_int total /. fast_wall in
-  let speedup = fast_rps /. base_rps in
-  let identical = String.equal base_reply fast_reply in
-  let total_errors = Atomic.get errors in
-  Printf.printf "serve cold (%d clients x %d, cache off):\n" clients per_client;
-  Printf.printf "  full sort  %.1f req/s\n" base_rps;
-  Printf.printf "  top-k      %.1f req/s (%.2fx)\n" fast_rps speedup;
-  Printf.printf
-    "  replies byte-identical: %b; pruned subcubes %d, candidates scored %d / pruned %d; \
-     arena hits %d / misses %d; protocol errors %d\n"
-    identical (sget "pruned_subcubes") (sget "scored_candidates")
-    (sget "pruned_candidates") (sget "arena_hits") (sget "arena_misses") total_errors;
   let bench_json (name, n, full_s, sel_s, pruned_s, stats) =
     Printf.sprintf
       "\"%s\": {\n\
@@ -1596,29 +1506,10 @@ let cold_rank () =
           \    \"in_process\": {\n\
           \    %s,\n\
           \    %s\n\
-          \    },\n\
-          \    \"serve\": {\n\
-          \      \"clients\": %d,\n\
-          \      \"requests\": %d,\n\
-          \      \"full_sort_req_per_s\": %.1f,\n\
-          \      \"topk_req_per_s\": %.1f,\n\
-          \      \"speedup\": %.2f,\n\
-          \      \"replies_byte_identical\": %b,\n\
-          \      \"pruned_subcubes\": %d,\n\
-          \      \"scored_candidates\": %d,\n\
-          \      \"pruned_candidates\": %d,\n\
-          \      \"protocol_errors\": %d\n\
           \    }\n\
           \  }"
-          k (bench_json g3) (bench_json b2) clients total base_rps fast_rps speedup
-          identical (sget "pruned_subcubes") (sget "scored_candidates")
-          (sget "pruned_candidates") total_errors );
+          k (bench_json g3) (bench_json b2) );
     ];
-  flag (total_errors > 0) (Printf.sprintf "%d protocol errors under load" total_errors);
-  flag (not identical) "top-k and full-sort replies are not byte-identical";
-  flag (speedup < 5.)
-    (Printf.sprintf "cold throughput gate: %.2fx < 5x over the full-sort server" speedup);
-  flag (sget "pruned_subcubes" = 0) "served load pruned no subcubes";
   match !problems with
   | [] -> print_endline "OK: cold-rank gates passed"
   | ps ->
@@ -1757,10 +1648,10 @@ let fleet_throughput () =
   in
   save "default" tuner_a;
   save "next" tuner_b;
-  (* Shards run the heavy configuration on purpose — cache off, full
-     sort — so every request costs a real scoring pass and the scaling
-     number measures compute spreading across shard processes, not
-     cache-lookup forwarding. *)
+  (* Shards start without warming, so the first request of each key
+     ranks its benchmark; every later request is a slice of that
+     ranking, so the scaling number mostly measures forwarding through
+     the router. *)
   let expected tuner inst =
     let benchmark = Instance.name inst in
     let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
@@ -1849,7 +1740,7 @@ let fleet_throughput () =
     match
       Sorl_serve.Server.start
         ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "direct.sock"))
-        ~workers:1 ~cache_capacity:0 ~warm:false ~topk:false ~conn_timeout_s:30.
+        ~workers:1 ~warm:false ~conn_timeout_s:30.
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok s -> s
@@ -1871,8 +1762,7 @@ let fleet_throughput () =
     let fdir = Filename.concat dir (Printf.sprintf "fleet%d" shards) in
     let fleet =
       match
-        Sorl_serve.Fleet.start ~dir:fdir ~shards ~workers:1 ~cache_capacity:0
-          ~warm:false ~topk:false ~conn_timeout_s:30.
+        Sorl_serve.Fleet.start ~dir:fdir ~shards ~workers:1 ~warm:false ~conn_timeout_s:30.
           (Sorl_serve.Server.Store (store, "default"))
       with
       | Ok f -> f
@@ -2123,10 +2013,11 @@ let neighbor_reuse () =
   flag (cross_dist <= threshold)
     (Printf.sprintf "calibration: cross-kernel pair inside threshold (%.4f <= %.4f)"
        cross_dist threshold);
-  (* ---- serving A/B: neighbors on vs off, cold result cache.  Each
-     pair is primed with an exact rank of the neighbor, then the
-     incoming instance is asked with rank!/tune! — provisional on the
-     A server, full exact compute on the B server.  The declined wave
+  (* ---- serving A/B: neighbors on vs off, on servers that rank each
+     benchmark on first request.  Each pair is primed with an exact
+     rank of the neighbor, then the incoming instance is asked with
+     rank!/tune! — provisional on the A server, a full ranking on the
+     B server.  The declined wave
      pair rides along as a control: its bang requests must come back
      exact and show up as neighbor misses, not approx replies. ---- *)
   let control_pairs = [ ("wave-128x128x128", "wave-256x256x256") ] in
@@ -2138,13 +2029,12 @@ let neighbor_reuse () =
   (match Sorl_serve.Model_store.save store ~name:"default" tuner with
   | Ok () -> ()
   | Error m -> failwith m);
-  let start_server name ~neighbors ~cache =
+  let start_server name ~neighbors =
     let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
     match
-      (* enough workers that exact back-fills running behind provisional
-         replies don't make the next foreground request queue *)
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64
-        ~cache_capacity:cache ~warm:false ~neighbors
+      (* enough workers that rankings built behind provisional replies
+         don't make the next foreground request queue *)
+      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~warm:false ~neighbors
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok s -> s
@@ -2170,11 +2060,12 @@ let neighbor_reuse () =
      collected for reuse pairs only — the control pair costs the same
      on both servers and would dilute the comparison. *)
   let drive ?(rounds = 1) address =
-    (* Per pair: untimed exact prime of the neighbor, then the timed
-       bangs — tune! first (the prime leaves no background work, so
-       the sample is the request itself), then the ranks (each lands
-       while the previous bang's back-fill may still be running, which
-       is the honest steady-state condition). *)
+    (* Per pair and bang: an untimed reload, which retires every
+       ranking and the neighbor index, and an untimed exact prime of
+       the neighbor, then the timed bang — so every bang is a first
+       request.  Each lands while the previous bang's ranking build
+       may still be running, which is the honest steady-state
+       condition. *)
     let rank_lat = ref [] and tune_lat = ref [] in
     let approx_seen = ref 0 in
     let stats =
@@ -2183,9 +2074,15 @@ let neighbor_reuse () =
             for _ = 1 to rounds do
               List.iter
                 (fun ((a_name, b_name), collect) ->
-                  (match Sorl_serve.Client.rank c ~benchmark:a_name ~top:10 with
-                  | Ok l when List.length l = 10 -> ()
-                  | Ok _ | Error _ -> Atomic.incr errors);
+                  let prime () =
+                    (match Sorl_serve.Client.reload c with
+                    | Ok _ -> ()
+                    | Error _ -> Atomic.incr errors);
+                    match Sorl_serve.Client.rank c ~benchmark:a_name ~top:10 with
+                    | Ok l when List.length l = 10 -> ()
+                    | Ok _ | Error _ -> Atomic.incr errors
+                  in
+                  prime ();
                   let t0 = Unix.gettimeofday () in
                   (match Sorl_serve.Client.tune_approx c ~benchmark:b_name with
                   | Ok (_, approx) -> if approx then incr approx_seen
@@ -2193,6 +2090,7 @@ let neighbor_reuse () =
                   if collect then tune_lat := (Unix.gettimeofday () -. t0) :: !tune_lat;
                   List.iter
                     (fun top ->
+                      prime ();
                       let t0 = Unix.gettimeofday () in
                       (match Sorl_serve.Client.rank_approx c ~benchmark:b_name ~top with
                       | Ok (l, approx) when List.length l = top ->
@@ -2217,16 +2115,15 @@ let neighbor_reuse () =
   let bang_count = List.length all_pairs * per_pair in
   let expected_approx = List.length reuse_pairs * per_pair in
   let expected_misses = List.length control_pairs * per_pair in
-  (* phase 1 — counters and byte identity, result cache on, one round:
-     every bang request is either provisional, a cache hit, or a
-     neighbor miss, and the back-filled exact bytes must match the
+  (* phase 1 — counters and byte identity, one round: every bang
+     request is either provisional, a slice of a resident ranking, or a
+     neighbor miss, and the exact bytes after the build must match the
      no-neighbor server's. *)
-  let cache_on = Sorl_serve.Result_cache.default_capacity in
-  let on_server = start_server "on.sock" ~neighbors:512 ~cache:cache_on in
+  let on_server = start_server "on.sock" ~neighbors:512 in
   let on_addr = Sorl_serve.Server.address on_server in
   let _, _, on_approx, on_stats = drive on_addr in
-  (* byte identity: the back-filled exact reply must equal the plain
-     path's bytes (read after stats so the reconciliation below sees a
+  (* byte identity: the exact reply after the build must equal the
+     plain path's bytes (read after stats so the reconciliation below sees a
      pure bang load) *)
   let identity_replies =
     List.map
@@ -2235,7 +2132,7 @@ let neighbor_reuse () =
   in
   Sorl_serve.Server.stop on_server;
   Sorl_serve.Server.wait on_server;
-  let off_server = start_server "off.sock" ~neighbors:0 ~cache:cache_on in
+  let off_server = start_server "off.sock" ~neighbors:0 in
   let off_addr = Sorl_serve.Server.address off_server in
   let _, _, off_approx, _ = drive off_addr in
   let off_replies =
@@ -2255,18 +2152,16 @@ let neighbor_reuse () =
      (expected %d); reconciled %b; replies byte-identical %b\n"
     on_approx bang_count expected_approx off_approx (sv "neighbor_hits")
     (sv "neighbor_misses") expected_misses reconciled identical;
-  (* phase 2 — cold-path latency.  The result cache is disabled so
-     every round exercises the cold path (with it on, each key can
-     only be asked cold once and p50 over a handful of samples is
-     noise); the neighbor index still answers, so the A server replies
-     provisionally every round while the B server recomputes. *)
+  (* phase 2 — cold-path latency over several rounds: every bang
+     follows a reload, so the A server replies provisionally every
+     round while the B server ranks the benchmark. *)
   let rounds = 8 in
-  let on2 = start_server "on2.sock" ~neighbors:512 ~cache:0 in
+  let on2 = start_server "on2.sock" ~neighbors:512 in
   let on2_addr = Sorl_serve.Server.address on2 in
   let on_rank, on_tune, on2_approx, _ = drive ~rounds on2_addr in
   Sorl_serve.Server.stop on2;
   Sorl_serve.Server.wait on2;
-  let off2 = start_server "off2.sock" ~neighbors:0 ~cache:0 in
+  let off2 = start_server "off2.sock" ~neighbors:0 in
   let off2_addr = Sorl_serve.Server.address off2 in
   let off_rank, off_tune, off2_approx, _ = drive ~rounds off2_addr in
   Sorl_serve.Server.stop off2;
@@ -2342,10 +2237,10 @@ let neighbor_reuse () =
     (Printf.sprintf "neighbors:0 server sent %d approx replies" off_approx);
   flag (not reconciled)
     (Printf.sprintf
-       "approx (%d) + cache hits (%d) + neighbor misses (%d) do not reconcile with %d \
+       "approx (%d) + ranking hits (%d) + neighbor misses (%d) do not reconcile with %d \
         bang requests"
        (sv "approx_replies") (sv "result_cache_hits") (sv "neighbor_misses") bang_count);
-  flag (not identical) "back-filled exact replies differ from the no-neighbor path";
+  flag (not identical) "exact replies after the build differ from the no-neighbor path";
   flag (on_rank_p50 >= off_rank_p50)
     (Printf.sprintf "cold rank! p50 gate: %.3f ms with neighbors >= %.3f ms without"
        (on_rank_p50 *. 1000.) (off_rank_p50 *. 1000.));
@@ -2481,8 +2376,8 @@ let online_learn () =
     (Table.fmt_time warm_s);
   (* ---- ingestion throughput: one connection streams the whole list
      [ingest_rounds] times pipelined while a foreground client keeps
-     measuring rank latency (cache off: every rank is a full scoring
-     pass, so the percentile is stable enough to compare) ---- *)
+     measuring rank latency (each rank a slice of a resident ranking
+     after the benchmark's first request) ---- *)
   let dir = Filename.temp_dir "sorl-learn-bench" "" in
   let store =
     match Sorl_serve.Model_store.open_dir dir with Ok s -> s | Error m -> failwith m
@@ -2494,7 +2389,7 @@ let online_learn () =
     match
       Sorl_serve.Server.start
         ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "ingest.sock"))
-        ~workers:4 ~queue_capacity:64 ~cache_capacity:0 ~warm:false
+        ~workers:4 ~queue_capacity:64 ~warm:false
         ~obs_log:(Filename.concat dir "ingest.obs")
         (Sorl_serve.Server.Store (store, "default"))
     with
@@ -2617,7 +2512,7 @@ let online_learn () =
   let fleet =
     match
       Sorl_serve.Fleet.start ~dir:(Filename.concat dir "fleet") ~shards:1 ~workers:2
-        ~cache_capacity:0 ~warm:false ~topk:false ~conn_timeout_s:30.
+        ~warm:false ~conn_timeout_s:30.
         ~obs_dir:(Filename.concat dir "obs") ~canary_fraction:1.
         (Sorl_serve.Server.Store (store, "default"))
     with

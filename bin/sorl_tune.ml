@@ -434,13 +434,6 @@ let timeout_s_arg =
   let doc = "Per-connection idle/write timeout in seconds." in
   Arg.(value & opt float 10. & info [ "timeout" ] ~docv:"S" ~doc)
 
-let cache_arg =
-  let doc =
-    "Result-cache capacity in entries (0 disables caching).  Defaults to the \
-     $(b,SORL_SERVE_CACHE) environment variable, else 1024."
-  in
-  Arg.(value & opt (some int) None & info [ "cache" ] ~docv:"N" ~doc)
-
 let max_conns_arg =
   let doc = "Maximum concurrent connections; beyond it new clients get `err busy'." in
   Arg.(value & opt int 512 & info [ "max-connections" ] ~docv:"N" ~doc)
@@ -456,7 +449,9 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~docv:"N" ~doc)
   in
   let no_warm_arg =
-    let doc = "Skip pre-ranking every benchmark into the result cache at start/reload." in
+    let doc =
+      "Skip ranking every benchmark at start/reload; each is ranked on its first request."
+    in
     Arg.(value & flag & info [ "no-warm" ] ~doc)
   in
   let neighbors_arg =
@@ -496,15 +491,14 @@ let serve_cmd =
     let doc = "Fraction of rank/tune traffic shadow-scored while a canary is loaded." in
     Arg.(value & opt float 1. & info [ "canary-fraction" ] ~docv:"F" ~doc)
   in
-  let run listen model_file store name workers queue timeout cache max_conns no_warm
+  let run listen model_file store name workers queue timeout max_conns no_warm
       neighbors neighbor_threshold obs_log obs_roll obs_fsync canary_fraction trace
       trace_out =
     Result.bind (resolve_source ~model_file ~store ~name) @@ fun source ->
     with_trace trace trace_out @@ fun ~tracing:_ () ->
     match
       Sorl_serve.Server.start ~address:listen ?workers ~queue_capacity:queue
-        ~conn_timeout_s:timeout ?cache_capacity:cache ~max_connections:max_conns
-        ~warm:(not no_warm) ~neighbors ~neighbor_threshold ?obs_log ?obs_roll
+        ~conn_timeout_s:timeout ~max_connections:max_conns ~warm:(not no_warm) ~neighbors ~neighbor_threshold ?obs_log ?obs_roll
         ?obs_fsync:(if obs_fsync then Some true else None)
         ~canary_fraction source
     with
@@ -522,7 +516,7 @@ let serve_cmd =
     Term.(
       term_result
         (const run $ listen_arg $ model_file_arg $ store_arg $ name_arg $ workers_arg
-        $ queue_arg $ timeout_s_arg $ cache_arg $ max_conns_arg $ no_warm_arg
+        $ queue_arg $ timeout_s_arg $ max_conns_arg $ no_warm_arg
         $ neighbors_arg $ neighbor_threshold_arg $ obs_log_arg $ obs_roll_arg
         $ obs_fsync_arg $ canary_fraction_arg $ trace_arg $ trace_out_arg))
 
@@ -566,11 +560,11 @@ let fleet_cmd =
     Arg.(value & flag & info [ "obs-fsync" ] ~doc)
   in
   let run listen shards dir model_file store name shard_workers router_workers queue
-      timeout cache max_conns obs_dir obs_roll obs_fsync =
+      timeout max_conns obs_dir obs_roll obs_fsync =
     Result.bind (resolve_source ~model_file ~store ~name) @@ fun source ->
     match
       Sorl_serve.Fleet.start ~dir ~shards ~workers:shard_workers ~queue_capacity:queue
-        ~conn_timeout_s:timeout ?cache_capacity:cache ~max_connections:max_conns ?obs_dir
+        ~conn_timeout_s:timeout ~max_connections:max_conns ?obs_dir
         ?obs_roll
         ?obs_fsync:(if obs_fsync then Some true else None)
         source
@@ -608,7 +602,7 @@ let fleet_cmd =
       term_result
         (const run $ listen_arg $ shards_arg $ dir_arg $ model_file_arg $ store_arg
         $ name_arg $ shard_workers_arg $ router_workers_arg $ queue_arg $ timeout_s_arg
-        $ cache_arg $ max_conns_arg $ obs_dir_arg $ obs_roll_arg $ obs_fsync_arg))
+        $ max_conns_arg $ obs_dir_arg $ obs_roll_arg $ obs_fsync_arg))
 
 let query_cmd =
   let connect_arg =

@@ -91,19 +91,19 @@ let scores_enc t enc candidates scores =
            done
          end))
 
-let rank_enc t enc candidates =
+let order_enc t enc candidates =
   Sorl_util.Telemetry.span "autotuner/rank" (fun () ->
       let scores = Array.make (Array.length candidates) 0. in
       scores_enc t enc candidates scores;
-      let order = Sorl_svmrank.Model.sort_by_score scores in
-      Array.map (fun i -> candidates.(i)) order)
+      Sorl_svmrank.Model.sort_by_score scores)
 
-let rank t inst candidates = rank_enc t (Features.compile t.mode inst) candidates
+let rank t inst candidates =
+  Array.map (fun i -> candidates.(i)) (order_enc t (Features.compile t.mode inst) candidates)
 
-let rank_compiled t enc candidates =
+let rank_order t enc candidates =
   if Features.compiled_mode enc <> t.mode then
-    invalid_arg "Autotuner.rank_compiled: encoder mode does not match the tuner";
-  rank_enc t enc candidates
+    invalid_arg "Autotuner.rank_order: encoder mode does not match the tuner";
+  order_enc t enc candidates
 
 let best t inst candidates =
   if Array.length candidates = 0 then invalid_arg "Autotuner.best: no candidates";

@@ -63,17 +63,18 @@ val rank :
     {!Sorl_util.Pool}; the resulting order is identical for every pool
     size and bit-identical to encode-and-{!score} per candidate. *)
 
-val rank_compiled :
-  t -> Sorl_stencil.Features.compiled -> Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t array
-(** {!rank} with a caller-supplied compiled encoder, skipping the
-    per-call {!Sorl_stencil.Features.compile} — the entry point for
+val rank_order :
+  t -> Sorl_stencil.Features.compiled -> Sorl_stencil.Tuning.t array -> int array
+(** {!rank} as the sort's permutation, with a caller-supplied compiled
+    encoder: element [i] is the index into [candidates] of the [i]-th
+    best, so [Array.map (fun i -> candidates.(i))] of it is
+    bit-identical to {!rank} on that instance.  The entry point for
     callers that rank the same instance repeatedly and cache encoders
-    (e.g. the serving subsystem's batcher).  The encoder must have been
-    compiled from this tuner's feature mode (checked,
-    [Invalid_argument]) for the instance being ranked (not checkable —
-    the caller's cache key must pin it).  Output is bit-identical to
-    {!rank} on that instance. *)
+    (e.g. the serving subsystem's batcher), or that keep rankings as
+    indices into a fixed set.  The encoder must have been compiled from
+    this tuner's feature mode (checked, [Invalid_argument]) for the
+    instance being ranked (not checkable — the caller's cache key must
+    pin it). *)
 
 val best :
   t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t array ->
@@ -118,12 +119,13 @@ val top_k_pruned :
   k:int ->
   Sorl_stencil.Tuning.t array * prune_stats
 (** [top_k_pruned t enc ~dims ~k] is
-    [Array.sub (rank_compiled t enc (Tuning.predefined_set ~dims)) 0 k]
+    the first [k] of [rank_order t enc (Tuning.predefined_set ~dims)],
+    mapped to their tunings
     (element for element), plus how much of the grid it skipped.  [k]
     is clamped to the set size; [k = 0] yields [[||]].  The encoder
     must be compiled from this tuner's mode (checked) for the instance
     being ranked (pinned by the caller's cache key, as with
-    {!rank_compiled}).  Raises [Invalid_argument] on mode mismatch or
+    {!rank_order}).  Raises [Invalid_argument] on mode mismatch or
     negative [k].
 
     [incumbents] are warm-start candidates (e.g. a similar instance's

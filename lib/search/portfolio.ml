@@ -5,9 +5,12 @@ let run ?(seed = 0) ?(algorithms = Registry.all) ?(budget = 1024) problem =
   let winner = ref (List.hd algorithms) in
   let outer_outcome =
     Runner.run_with ~budget problem (fun outer ->
-        (* every inner evaluation flows through the global runner *)
+        (* Every inner evaluation flows through the global runner,
+           whose book-keeping is single-domain: inner batches must not
+           call it from pool workers. *)
         let wrapped =
-          Problem.create ~bounds:(Problem.bounds problem) ~eval:(fun p -> Runner.eval outer p)
+          Problem.serial
+            (Problem.create ~bounds:(Problem.bounds problem) ~eval:(fun p -> Runner.eval outer p))
         in
         let rounds = max 1 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
         let elimination_budget = budget / 2 in

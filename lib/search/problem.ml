@@ -1,12 +1,15 @@
-type t = { bounds : (int * int) array; eval_fn : int array -> float }
+type t = { bounds : (int * int) array; eval_fn : int array -> float; parallel : bool }
 
 let create ~bounds ~eval =
   if Array.length bounds = 0 then invalid_arg "Problem.create: no coordinates";
   Array.iter (fun (lo, hi) -> if lo > hi then invalid_arg "Problem.create: lo > hi") bounds;
-  { bounds; eval_fn = eval }
+  { bounds; eval_fn = eval; parallel = true }
+
+let serial t = { t with parallel = false }
 
 let bounds t = Array.copy t.bounds
 let dims t = Array.length t.bounds
+let parallel t = t.parallel
 
 let clamp_coord t i v =
   let lo, hi = t.bounds.(i) in

@@ -11,10 +11,19 @@ type t
 val create : bounds:(int * int) array -> eval:(int array -> float) -> t
 (** [bounds] are inclusive per-coordinate ranges ([lo <= hi], at least
     one coordinate); [eval] returns the cost to minimize (must be
-    finite). *)
+    finite) and may run on several domains at once. *)
+
+val serial : t -> t
+(** The same problem, marked unsafe to evaluate from several domains:
+    {!Runner.eval_batch} evaluates its batches one point at a time.
+    Use it when [eval] mutates shared state, such as another runner. *)
 
 val bounds : t -> (int * int) array
 val dims : t -> int
+
+val parallel : t -> bool
+(** [false] after {!serial}. *)
+
 val eval : t -> int array -> float
 (** Clamps the point into bounds before evaluating. *)
 

@@ -57,9 +57,8 @@ let eval_batch t ps =
   let k = Array.length ps in
   let m = min k (t.budget - t.evals) in
   if m = 0 && k > 0 then raise Out_of_budget;
-  let costs =
-    Sorl_util.Pool.parallel_map (Problem.eval t.problem) (Array.sub ps 0 m)
-  in
+  let map f a = if Problem.parallel t.problem then Sorl_util.Pool.parallel_map f a else Array.map f a in
+  let costs = map (Problem.eval t.problem) (Array.sub ps 0 m) in
   (* Record sequentially in submission order so best-so-far, curve and
      cost accounting are identical to [m] serial [eval] calls. *)
   Array.iteri (fun i c -> record t ps.(i) c) costs;

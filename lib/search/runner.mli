@@ -21,9 +21,9 @@ val eval_batch : t -> int array array -> float array
 (** [eval_batch t ps] evaluates the points concurrently over the
     {!Sorl_util.Pool} and then records them in submission order, so the
     best-so-far state, convergence curve and cost accounting are
-    exactly those of the equivalent serial {!eval} sequence (the
-    problem must be safe to evaluate from several domains — the
-    measure-backed problems are).  If the remaining budget covers only
+    exactly those of the equivalent serial {!eval} sequence.  A problem
+    marked {!Problem.serial} (one whose [eval] mutates shared state,
+    such as another runner) is evaluated one point at a time instead.  If the remaining budget covers only
     a prefix, that prefix is evaluated and recorded before
     {!Out_of_budget} is raised; the budget is never exceeded. *)
 

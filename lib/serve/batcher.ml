@@ -1,15 +1,14 @@
 open Sorl_stencil
 
-type slot = { mutable outcome : (Tuning.t array, exn) result option }
+type 'a slot = { mutable outcome : ('a, exn) result option }
 
 type cached_encoder = { enc : Features.compiled; mutable last_used : int }
 
 type t = {
   m : Mutex.t;
   done_ : Condition.t;
-  in_flight : (string, slot) Hashtbl.t;
-      (** key: "<generation>/<instance>" (full rank) or
-          "<generation>/<instance>#<k>" (top-k) *)
+  ranks : (string, int array slot) Hashtbl.t;  (** key: "<generation>/<instance>" *)
+  tops : (string, Tuning.t array slot) Hashtbl.t;  (** key: "<generation>/<instance>#<k>" *)
   encoders : (string, cached_encoder) Hashtbl.t;  (** key: "<mode>/<instance>" *)
   encoder_cache : int;
   mutable tick : int;  (** LRU clock *)
@@ -34,7 +33,8 @@ let create ?(encoder_cache = 32) () =
   {
     m = Mutex.create ();
     done_ = Condition.create ();
-    in_flight = Hashtbl.create 16;
+    ranks = Hashtbl.create 16;
+    tops = Hashtbl.create 16;
     encoders = Hashtbl.create 16;
     encoder_cache;
     tick = 0;
@@ -93,9 +93,9 @@ let take_scratch t =
 (* Leader/follower coalescing shared by [rank] and [rank_top]: the
    first arrival under [key] computes (outside the lock), everyone
    else waits on the condition variable and shares the result. *)
-let coalesce t ~key ~compute =
+let coalesce t in_flight ~key ~compute =
   Mutex.lock t.m;
-  match Hashtbl.find_opt t.in_flight key with
+  match Hashtbl.find_opt in_flight key with
   | Some slot ->
     t.followers <- t.followers + 1;
     let rec wait () =
@@ -112,7 +112,7 @@ let coalesce t ~key ~compute =
   | None ->
     t.leaders <- t.leaders + 1;
     let slot = { outcome = None } in
-    Hashtbl.replace t.in_flight key slot;
+    Hashtbl.replace in_flight key slot;
     Mutex.unlock t.m;
     (* [compute] re-takes the lock for its own bookkeeping (encoder
        cache, scratch arena), so it must run unlocked; it returns
@@ -121,18 +121,18 @@ let coalesce t ~key ~compute =
     let outcome = (try compute () with e -> Error e) in
     Mutex.lock t.m;
     slot.outcome <- Some outcome;
-    Hashtbl.remove t.in_flight key;
+    Hashtbl.remove in_flight key;
     Condition.broadcast t.done_;
     Mutex.unlock t.m;
     (match outcome with Ok r -> (r, false) | Error e -> raise e)
 
 let rank t ~generation ~tuner ~inst candidates =
   let key = string_of_int generation ^ "/" ^ Instance.name inst in
-  coalesce t ~key ~compute:(fun () ->
+  coalesce t t.ranks ~key ~compute:(fun () ->
       Mutex.lock t.m;
       let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
       Mutex.unlock t.m;
-      match Sorl.Autotuner.rank_compiled tuner enc candidates with
+      match Sorl.Autotuner.rank_order tuner enc candidates with
       | r -> Ok r
       | exception e -> Error e)
 
@@ -145,7 +145,7 @@ let rank_top t ?incumbents ~generation ~tuner ~inst ~k () =
      bound), so coalescing across seeded and unseeded callers is
      safe. *)
   let key = Printf.sprintf "%d/%s#%d" generation (Instance.name inst) k in
-  coalesce t ~key ~compute:(fun () ->
+  coalesce t t.tops ~key ~compute:(fun () ->
       Mutex.lock t.m;
       let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
       let scratch = take_scratch t in

@@ -5,7 +5,7 @@
     benchmark at the same time there is no point running the scoring
     pass once per connection: the first arrival (the {e leader}) runs
     one pass through the compiled fast path
-    ({!Sorl.Autotuner.rank_compiled}) while the rest ({e followers})
+    ({!Sorl.Autotuner.rank_order}) while the rest ({e followers})
     block on a condition variable and receive the {e same} result
     array.  Results are keyed by model generation, so a hot reload
     mid-flight can never leak a stale ranking to a request that arrived
@@ -30,9 +30,10 @@ val rank :
   tuner:Sorl.Autotuner.t ->
   inst:Sorl_stencil.Instance.t ->
   Sorl_stencil.Tuning.t array ->
-  Sorl_stencil.Tuning.t array * bool
+  int array * bool
 (** Rank [candidates] for [inst] under the model of [generation].
-    Returns the best-first array — bit-identical to
+    Returns the best-first permutation of [candidates]' indices —
+    mapped to its tunings it is bit-identical to
     [Sorl.Autotuner.rank tuner inst candidates] — and whether this call
     was coalesced onto another in-flight computation ([true] =
     follower; the array is then physically shared with the leader's).

@@ -31,8 +31,8 @@ let now () = Unix.gettimeofday ()
 let field k v = k ^ "=" ^ v
 let sep = '\x1f'
 
-let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacity
-    ?max_connections ?warm ?topk ?obs_log ?obs_roll ?obs_fsync ?canary_fraction source =
+let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?warm
+    ?obs_log ?obs_roll ?obs_fsync ?canary_fraction source =
   let opt k to_s v = Option.map (fun v -> field k (to_s v)) v in
   let fields =
     [
@@ -49,10 +49,8 @@ let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacit
       Some (field "workers" (string_of_int workers));
       opt "queue" string_of_int queue_capacity;
       opt "timeout" string_of_float conn_timeout_s;
-      opt "cache" string_of_int cache_capacity;
       opt "maxconns" string_of_int max_connections;
       opt "warm" string_of_bool warm;
-      opt "topk" string_of_bool topk;
       opt "obs" Fun.id obs_log;
       opt "obsroll" string_of_int obs_roll;
       opt "obsfsync" string_of_bool obs_fsync;
@@ -107,10 +105,8 @@ let maybe_shard_main () =
        Server.start ~address ~workers
          ?queue_capacity:(opt_of "queue" int_of_string_opt "queue")
          ?conn_timeout_s:(opt_of "timeout" float_of_string_opt "timeout")
-         ?cache_capacity:(opt_of "cache" int_of_string_opt "cache")
          ?max_connections:(opt_of "maxconns" int_of_string_opt "maxconns")
          ?warm:(opt_of "warm" bool_of_string_opt "warm")
-         ?topk:(opt_of "topk" bool_of_string_opt "topk")
          ?obs_log:(get "obs")
          ?obs_roll:(opt_of "obsroll" int_of_string_opt "obsroll")
          ?obs_fsync:(opt_of "obsfsync" bool_of_string_opt "obsfsync")
@@ -206,8 +202,8 @@ let wait_ready ~deadline sh =
   in
   go ()
 
-let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?cache_capacity
-    ?max_connections ?warm ?topk ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
+let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?max_connections
+    ?warm ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
     ?(ready_timeout_s = 10.) source =
   if n < 1 then Error "Fleet.start: shards must be >= 1"
   else begin
@@ -221,8 +217,8 @@ let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?cache_c
           obs_dir
       in
       let spec =
-        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?cache_capacity
-          ?max_connections ?warm ?topk ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
+        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?warm
+          ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
           source
       in
       { address; pid = spawn_shard spec; reaped = false }

@@ -5,8 +5,8 @@
     ...), and blocks until every shard answers an [info] probe — so a
     caller can hand the addresses straight to {!Router.start} knowing
     the fleet is live.  Separate {e processes}, not domains: each shard
-    gets its own GC, its own result cache and batcher (kept hot for
-    its slice of traffic by the router's consistent hashing), and a
+    gets its own GC, its own rankings and batcher (kept hot for its
+    slice of traffic by the router's consistent hashing), and a
     crash takes down one slice instead of the fleet.
 
     Shards are {e not} forked — OCaml 5 forbids [Unix.fork] in any
@@ -43,10 +43,8 @@ val start :
   ?workers:int ->
   ?queue_capacity:int ->
   ?conn_timeout_s:float ->
-  ?cache_capacity:int ->
   ?max_connections:int ->
   ?warm:bool ->
-  ?topk:bool ->
   ?obs_dir:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->

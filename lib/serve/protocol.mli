@@ -43,11 +43,11 @@
 
     A [rank!]/[tune!] request ([approx_ok]) tells the server the client
     would rather have a fast {e provisional} answer than wait for an
-    exact one: on a result-cache miss the server may answer from the
-    nearest already-served similar instance and compute the exact
-    result in the background.  Such a reply carries the [~] verb flag
-    ([rank~]/[tune~], [approx = true]); a later identical request gets
-    the exact (unflagged) answer from the cache.  Requests without [!]
+    exact one: when the benchmark's ranking is not resident the server
+    may answer from the nearest already-served similar instance and
+    rank the benchmark in the background.  Such a reply carries the
+    [~] verb flag ([rank~]/[tune~], [approx = true]); a later request
+    for that benchmark gets the exact (unflagged) answer.  Requests without [!]
     and their replies are byte-identical to protocol version 1 before
     the flag existed, so the extension is invisible to old clients.
     Reply-verb flags are single non-alphanumeric characters after the
@@ -89,9 +89,10 @@
     accounting ([requests], [errors], [connections],
     [busy_rejections], [reloads], [generation], [queue_depth]),
     pipelining ([pipelined] — requests that arrived as part of a
-    multi-request batch), the result cache ([result_cache_hits],
-    [result_cache_misses], [result_cache_entries],
-    [result_cache_capacity]) and the coalescing batcher
+    multi-request batch), the resident rankings ([result_cache_hits]
+    — replies sliced from one, [result_cache_misses] — requests that
+    found theirs not resident, [result_cache_entries] — rankings
+    resident in the current generation) and the coalescing batcher
     ([rank_leaders], [rank_followers], [encoder_hits],
     [encoder_misses]), and online learning ([observations] — records
     appended by this process, [obs_log_records] — complete records in

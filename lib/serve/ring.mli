@@ -5,7 +5,7 @@
     own hash.  Because a shard's points depend only on its name, adding
     or removing one shard moves only the keys whose owning arc changed
     — about [1/N] of the keyspace — while every other key keeps its
-    shard, so result caches and batchers stay hot across fleet
+    shard, so rankings and batchers stay hot across fleet
     resizes.  [Test_fleet] checks both invariants exactly: removing a
     shard never moves a key the removed shard did not own, and a key
     that moves on addition always lands on the new shard. *)

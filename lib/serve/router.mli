@@ -13,7 +13,7 @@
 
     Routing: [rank]/[tune]/[observe] hash their [(benchmark, verb)]
     pair on a {!Ring}, so one benchmark's traffic always lands on the
-    same shard and that shard's result cache, encoder cache and
+    same shard and that shard's rankings, encoder cache and
     batcher stay hot for its slice — and one shard owns a benchmark's
     observation stream, so its log sees that benchmark's records in
     arrival order.  If the owner is draining (mid-reload) or

@@ -4,19 +4,38 @@ type source =
   | Model_file of string
   | Store of Model_store.t * string
 
-(* The served model.  Immutable record swapped atomically on reload, so
-   a request holds one coherent snapshot for its whole lifetime: a
-   reload mid-request can never mix model A's weights with model B's
-   generation — and the generation a reply is cached under always
-   matches the model that produced it. *)
-type loaded = { tuner : Sorl.Autotuner.t; model_name : string; generation : int }
+(* The paper's pre-defined configuration set of one grid shape (2-D or
+   3-D), each tuning pre-rendered in its wire form with the separating
+   space in front (" bx,by,bz,u,c"), so a rank reply is a header plus
+   entries of this table.  Model-independent: built once per server. *)
+type grid = { set : Tuning.t array; words : string array }
+
+(* One benchmark's full ranking under one model: flat indices into
+   [grid.set], best first, 16 bits each (the 3-D grid has 8,640). *)
+type ranking = { grid : grid; order : Bytes.t }
+
+(* The served model.  Swapped atomically on reload, so a request holds
+   one coherent snapshot for its whole lifetime: a reload mid-request
+   can never mix model A's weights with model B's generation.  It
+   carries its own rankings, one slot per registered benchmark (by
+   position in [instances]), so a retired generation's rankings are
+   freed with it and no reply can outlive the model that produced it. *)
+type loaded = {
+  tuner : Sorl.Autotuner.t;
+  model_name : string;
+  generation : int;
+  rankings : ranking option Atomic.t array;
+  build_m : Mutex.t;  (** guards [building] *)
+  built : Condition.t;  (** signalled when a build ends *)
+  building : bool array;  (** a build of that slot is running *)
+}
 
 (* Near-miss reuse: an exact NN index over instance embeddings, holding
    the exact top tunings already computed for each served instance
-   under the current generation.  A [rank!]/[tune!] request that misses
-   the result cache can be answered {e provisionally} from the nearest
-   indexed instance within [nn_threshold] (cosine distance) while the
-   exact answer is computed after the reply is written.  Invalidation
+   under the current generation.  A [rank!]/[tune!] request whose
+   ranking is not resident can be answered {e provisionally} from the
+   nearest indexed instance within [nn_threshold] (cosine distance)
+   while its ranking is built after the reply is written.  Invalidation
    is free: the index is pinned to a generation and dropped wholesale
    the first time a newer snapshot touches it. *)
 type neighbors = {
@@ -65,10 +84,12 @@ type t = {
   canary_bm : (string, int ref * int ref) Hashtbl.t;
       (** benchmark -> (agree, disagree) over the server's lifetime *)
   batcher : Batcher.t;
-  cache : Result_cache.t;
-  topk : bool;  (** serve rank/tune through pruned top-k selection *)
+  grid2 : grid;
+  grid3 : grid;
+  hits : int Atomic.t;  (** rank/tune replies sliced from a resident ranking *)
+  misses : int Atomic.t;  (** rank/tune requests whose ranking was not resident *)
   neighbors : neighbors option;  (** near-miss reuse, [None] = disabled *)
-  warm_on_reload : bool;
+  warm : bool;  (** build every ranking before a snapshot goes live *)
   workers : int;
   conn_timeout_s : float;
   listen_fd : Unix.file_descr;
@@ -181,20 +202,23 @@ let err code message = Protocol.Error { code; message }
 
 (* ---- near-miss reuse helpers ---- *)
 
-(* Exact tunings stored per indexed instance — enough to answer any
-   warmed request shape ([tune], [rank] up to the largest warm top). *)
+(* Exact tunings stored per indexed instance — enough for a provisional
+   [tune] or [rank] up to depth 10. *)
 let nn_payload = 10
 
-(* Pin the index to the caller's snapshot, dropping it wholesale when a
-   reload has landed since it was built. *)
+(* The index for the caller's snapshot, dropped wholesale when the
+   snapshot is newer than the index.  A caller still on a retired
+   snapshot (a ranking built after its provisional reply, while a
+   reload landed) gets [None]: it must neither read the newer index
+   nor reset it back to its own generation. *)
 let nn_sync ns snapshot ~dim =
   Mutex.protect ns.nn_m (fun () ->
-      if ns.nn_generation <> snapshot.generation then begin
+      if snapshot.generation > ns.nn_generation then begin
         ns.nn_generation <- snapshot.generation;
         ns.nn_index <- Sorl_util.Nn_index.create ~capacity:ns.nn_capacity ~dim ();
         Hashtbl.reset ns.embeds
       end;
-      ns.nn_index)
+      if snapshot.generation = ns.nn_generation then Some ns.nn_index else None)
 
 let nn_embedding ns snapshot inst =
   let name = Instance.name inst in
@@ -211,99 +235,114 @@ let nn_embedding ns snapshot inst =
           Hashtbl.replace ns.embeds name v;
           v)
 
-(* Remember an instance's exact winners so later similar instances can
-   reuse them.  Keeps the longest prefix seen per key (a top-10 must
-   not be downgraded by a later tune), and never lets a racing reload
+(* Remember an instance's exact winners (the head of its ranking) so
+   later similar instances can reuse them.  Never lets a racing reload
    surface as a request error — worst case the entry lands in an index
    about to be dropped. *)
-let nn_insert t snapshot inst ranked =
+let nn_insert t snapshot inst winners =
   match t.neighbors with
   | None -> ()
-  | Some ns ->
-    if Array.length ranked > 0 then (
-      try
-        let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
-        let index = nn_sync ns snapshot ~dim in
-        let name = Instance.name inst in
-        let winners = Array.sub ranked 0 (min nn_payload (Array.length ranked)) in
-        let keep =
-          match Sorl_util.Nn_index.find index name with
-          | Some old -> Array.length old < Array.length winners
-          | None -> true
-        in
-        if keep then Sorl_util.Nn_index.add index ~key:name (nn_embedding ns snapshot inst) winners
-      with _ -> ())
+  | Some ns -> (
+    try
+      let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
+      Option.iter
+        (fun index ->
+          Sorl_util.Nn_index.add index ~key:(Instance.name inst) (nn_embedding ns snapshot inst)
+            winners)
+        (nn_sync ns snapshot ~dim)
+    with _ -> ())
 
 (* ---- rank / tune ---- *)
 
-(* Shared body of rank and tune: one batched scoring pass over the
-   paper's pre-defined configuration set of the named benchmark, on the
-   snapshot the caller pinned. *)
-let ranked_for t snapshot benchmark =
-  match Sorl_stencil.Benchmarks.instance_by_name benchmark with
-  | exception Not_found ->
-    Result.Error
-      (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
-  | inst -> (
-    let candidates = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
-    match
-      Batcher.rank t.batcher ~generation:snapshot.generation ~tuner:snapshot.tuner ~inst
-        candidates
-    with
-    | exception e -> Result.Error (err Protocol.Internal (Printexc.to_string e))
-    | ranked, _follower ->
-      nn_insert t snapshot inst ranked;
-      Ok ranked)
+let instances = Array.of_list Benchmarks.instances
+let names = Array.map Instance.name instances
 
-(* Cold-path variant: only the first [k] of that rank, through pruned
-   top-k selection — same elements, most of the grid never scored.
-   [total] still reports the full set size (known without ranking), so
-   replies are byte-identical to the full-sort path's.  [incumbents]
-   (a neighbor's winners) tightens the pruning bound without changing
-   the result. *)
-let top_ranked_for ?incumbents t snapshot benchmark ~k =
-  match Sorl_stencil.Benchmarks.instance_by_name benchmark with
-  | exception Not_found ->
-    Result.Error
-      (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
-  | inst -> (
-    match
-      Batcher.rank_top t.batcher ?incumbents ~generation:snapshot.generation
-        ~tuner:snapshot.tuner ~inst ~k ()
-    with
-    | exception e -> Result.Error (err Protocol.Internal (Printexc.to_string e))
-    | ranked, _follower ->
-      nn_insert t snapshot inst ranked;
-      Ok (ranked, Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst))))
+let bench_index benchmark = Array.find_index (String.equal benchmark) names
 
-let ranked_response ~benchmark ~top ~total ranked =
-  Protocol.Ranked
-    {
-      benchmark;
-      total;
-      tunings = Array.to_list (Array.sub ranked 0 (min top (Array.length ranked)));
-      approx = false;
-    }
+let make_grid ~dims =
+  let set = Tuning.predefined_set ~dims in
+  { set; words = Array.map (fun tn -> " " ^ Protocol.tuning_to_string tn) set }
 
-let handle_rank ?incumbents t snapshot ~benchmark ~top =
-  if t.topk then
-    match top_ranked_for ?incumbents t snapshot benchmark ~k:top with
-    | Error e -> e
-    | Ok (ranked, total) -> ranked_response ~benchmark ~top ~total ranked
-  else
-    match ranked_for t snapshot benchmark with
-    | Error e -> e
-    | Ok ranked -> ranked_response ~benchmark ~top ~total:(Array.length ranked) ranked
+let fresh_snapshot ~tuner ~model_name ~generation =
+  let n = Array.length instances in
+  {
+    tuner;
+    model_name;
+    generation;
+    rankings = Array.init n (fun _ -> Atomic.make None);
+    build_m = Mutex.create ();
+    built = Condition.create ();
+    building = Array.make n false;
+  }
 
-let handle_tune ?incumbents t snapshot ~benchmark =
-  if t.topk then
-    match top_ranked_for ?incumbents t snapshot benchmark ~k:1 with
-    | Error e -> e
-    | Ok (ranked, _total) -> Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }
-  else
-    match ranked_for t snapshot benchmark with
-    | Error e -> e
-    | Ok ranked -> Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }
+(* One full scoring pass over the benchmark's grid.  The sort's own
+   permutation is already the flat index into [grid.set], so it is
+   stored as is. *)
+let build t snapshot i =
+  let inst = instances.(i) in
+  let grid = if Kernel.dims (Instance.kernel inst) = 2 then t.grid2 else t.grid3 in
+  let order, _follower =
+    Batcher.rank t.batcher ~generation:snapshot.generation ~tuner:snapshot.tuner ~inst grid.set
+  in
+  let packed = Bytes.create (2 * Array.length order) in
+  Array.iteri (fun j x -> Bytes.set_uint16_le packed (2 * j) x) order;
+  nn_insert t snapshot inst
+    (Array.init (min nn_payload (Array.length order)) (fun j -> grid.set.(order.(j))));
+  { grid; order = packed }
+
+(* Benchmark [i]'s ranking under [snapshot], built on first use.
+   Concurrent first requests wait for the one build instead of running
+   their own, so each ranking is built once per generation. *)
+let ranking t snapshot i =
+  let slot = snapshot.rankings.(i) in
+  match Atomic.get slot with
+  | Some r -> r
+  | None -> (
+    let claim =
+      Mutex.protect snapshot.build_m (fun () ->
+          let rec wait () =
+            match Atomic.get slot with
+            | Some r -> Some r
+            | None when snapshot.building.(i) ->
+              Condition.wait snapshot.built snapshot.build_m;
+              wait ()
+            | None ->
+              snapshot.building.(i) <- true;
+              None
+          in
+          wait ())
+    in
+    match claim with
+    | Some r -> r
+    | None ->
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect snapshot.build_m (fun () ->
+              snapshot.building.(i) <- false;
+              Condition.broadcast snapshot.built))
+        (fun () ->
+          let r = build t snapshot i in
+          Atomic.set slot (Some r);
+          r))
+
+let word r j = r.grid.words.(Bytes.get_uint16_le r.order (2 * j))
+
+(* Append to [b] the bytes [Protocol.encode_response] gives the first
+   [top] of the ranking as a [Ranked] / the best as a [Tuned] reply. *)
+let rank_reply ~benchmark ~top r b =
+  let n = Bytes.length r.order / 2 in
+  Buffer.add_string b "ok rank ";
+  Buffer.add_string b benchmark;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (string_of_int n);
+  for j = 0 to min top n - 1 do
+    Buffer.add_string b (word r j)
+  done
+
+let tune_reply ~benchmark r b =
+  Buffer.add_string b "ok tune ";
+  Buffer.add_string b benchmark;
+  Buffer.add_string b (word r 0)
 
 let handle_info t =
   let l = Atomic.get t.current in
@@ -316,7 +355,6 @@ let handle_info t =
       ("mode", Features.mode_to_string mode);
       ("dim", string_of_int (Features.dim mode));
       ("workers", string_of_int t.workers);
-      ("cache", string_of_int (Result_cache.capacity t.cache));
       ("uptime_s", string_of_int (int_of_float (Unix.gettimeofday () -. t.started_at)));
     ]
 
@@ -338,6 +376,11 @@ let handle_observe t ~benchmark ~tuning ~cost =
 
 let handle_stats t =
   let b = Batcher.stats t.batcher in
+  let current = Atomic.get t.current in
+  let resident =
+    Array.fold_left (fun n slot -> if Option.is_some (Atomic.get slot) then n + 1 else n) 0
+      current.rankings
+  in
   let neighbor_kvs =
     match t.neighbors with
     | None -> []
@@ -351,11 +394,6 @@ let handle_stats t =
         ("neighbor_capacity", ns.nn_capacity);
         ("neighbor_evictions", Sorl_util.Nn_index.evictions index);
       ]
-  in
-  let by_generation =
-    List.map
-      (fun (g, n) -> (Printf.sprintf "result_cache_entries_g%d" g, n))
-      (Result_cache.entries_by_generation t.cache)
   in
   let learn_kvs =
     let obs_kvs =
@@ -398,92 +436,45 @@ let handle_stats t =
        ("busy_rejections", Atomic.get t.busy_rejections);
        ("reloads", Atomic.get t.reloads);
        ("pipelined", Atomic.get t.pipelined);
-       ("result_cache_hits", Result_cache.hits t.cache);
-       ("result_cache_misses", Result_cache.misses t.cache);
-       ("result_cache_entries", Result_cache.length t.cache);
-       ("result_cache_capacity", Result_cache.capacity t.cache);
-       ("result_cache_evictions", Result_cache.evictions t.cache);
+       ("result_cache_hits", Atomic.get t.hits);
+       ("result_cache_misses", Atomic.get t.misses);
+       ("result_cache_entries", resident);
        ("rank_leaders", b.Batcher.leaders);
        ("rank_followers", b.Batcher.followers);
        ("encoder_hits", b.Batcher.encoder_hits);
        ("encoder_misses", b.Batcher.encoder_misses);
-       ("arena_hits", b.Batcher.arena_hits);
-       ("arena_misses", b.Batcher.arena_misses);
-       ("pruned_subcubes", b.Batcher.cubes_pruned);
-       ("pruned_candidates", b.Batcher.cands_pruned);
-       ("scored_candidates", b.Batcher.cands_scored);
        ("queue_depth", Sorl_util.Bqueue.length t.queue);
-       ("generation", (Atomic.get t.current).generation);
+       ("generation", current.generation);
      ]
-    @ by_generation @ neighbor_kvs @ learn_kvs)
+    @ neighbor_kvs @ learn_kvs)
 
-(* ---- the result cache ---- *)
-
-(* Everything that shapes a rank/tune reply is folded into the key:
-   the model generation (bumped by reload, so stale entries are
-   unreachable the moment a reload lands), the verb with its [top]
-   parameter, and the benchmark.  [approx_ok] is deliberately {e not}
-   part of the key: only exact replies are ever cached, so a [rank!]
-   and a plain [rank] share the entry and converge on the same
-   bytes. *)
-let cache_key_of snapshot = function
-  | Protocol.Rank { benchmark; top; approx_ok = _ } ->
-    Some
-      (Result_cache.key ~generation:snapshot.generation
-         ~verb:("rank:" ^ string_of_int top) ~benchmark)
-  | Protocol.Tune { benchmark; approx_ok = _ } ->
-    Some (Result_cache.key ~generation:snapshot.generation ~verb:"tune" ~benchmark)
-  | _ -> None
-
-(* After [start] and after every successful reload, pre-rank every
-   registered benchmark once and seed the cache with the replies the
-   common request shapes would produce, so the first client query of a
-   fresh generation is already a lookup.  Built from the same response
-   constructors as the live path, so warmed and computed replies are
-   byte-identical. *)
-let warm_tops = [ 1; 3; 10 ]
-
-let warm_cache t =
-  if Result_cache.capacity t.cache > 0 then begin
-    let snapshot = Atomic.get t.current in
-    List.iter
-      (fun inst ->
-        let benchmark = Instance.name inst in
-        match ranked_for t snapshot benchmark with
-        | Error _ -> ()
-        | Ok ranked ->
-          let put verb response =
-            Result_cache.put t.cache
-              (Result_cache.key ~generation:snapshot.generation ~verb ~benchmark)
-              (Protocol.encode_response response)
-          in
-          if Array.length ranked > 0 then
-            put "tune" (Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false });
-          List.iter
-            (fun top ->
-              put
-                ("rank:" ^ string_of_int top)
-                (ranked_response ~benchmark ~top ~total:(Array.length ranked) ranked))
-            warm_tops)
-      Benchmarks.instances
-  end
+(* Build every benchmark's ranking of a snapshot before it goes live
+   (at start and at each install), so its first read of any depth is
+   already a slice.  A failed build is left to the first request, which
+   reports it. *)
+let warm_snapshot t snapshot =
+  Array.iteri (fun i _ -> try ignore (ranking t snapshot i) with _ -> ()) instances
 
 (* ---- per-line handling ---- *)
 
-(* [backfill], when set, is deferred exact work the worker runs only
-   {e after} the batch's replies are written — a provisional reply is
-   therefore always strictly followed by its exact cache back-fill,
-   never interleaved with it. *)
+(* [reply] appends the reply line, without its newline, to the worker's
+   output buffer: a deep slice (about 150 KB at full depth) goes from
+   the ranking into the write with no intermediate string.  [backfill],
+   when set, is deferred exact work the worker runs only {e after} the
+   batch's replies are written — a provisional reply is therefore
+   always strictly followed by the build of its ranking, never
+   interleaved with it. *)
 type outcome = {
-  reply : string;
+  reply : Buffer.t -> unit;
   error : bool;
   bye : bool;
   backfill : (unit -> unit) option;
 }
 
 let outcome_of_response response =
+  let line = Protocol.encode_response response in
   {
-    reply = Protocol.encode_response response;
+    reply = (fun b -> Buffer.add_string b line);
     error = (match response with Protocol.Error _ -> true | _ -> false);
     bye = response = Protocol.Bye;
     backfill = None;
@@ -492,18 +483,16 @@ let outcome_of_response response =
 (* Install a new serving snapshot.  Must be called holding [reload_m];
    shared by [reload] and a successful [promote], so a promoted canary
    goes live through exactly the hot-swap path reload exercises —
-   generation bump, atomic snapshot swap, cache warm before the reply
-   is on the wire. *)
+   generation bump, rankings built, atomic snapshot swap, all before
+   the reply is on the wire.  Until the swap the old snapshot keeps
+   serving; the retired one's rankings go with it. *)
 let install_locked t ~tuner ~model_name =
   let generation = (Atomic.get t.current).generation + 1 in
-  Atomic.set t.current { tuner; model_name; generation };
+  let snapshot = fresh_snapshot ~tuner ~model_name ~generation in
+  if t.warm then warm_snapshot t snapshot;
+  Atomic.set t.current snapshot;
   Atomic.incr t.reloads;
   Sorl_util.Telemetry.incr reloads_counter;
-  (* Seed the new generation's entries before answering: once the
-     reload reply is on the wire, hot queries are hot again.  The
-     retired generation's entries are unreachable (wrong key) and
-     age out of the LRU. *)
-  if t.warm_on_reload then warm_cache t;
   generation
 
 let handle_reload t ~model =
@@ -588,61 +577,39 @@ let handle_promote t =
                 "not enough held-out observations to compare (each benchmark needs >= 2 records \
                  with distinct costs)"))))
 
-let dispatch ?incumbents t snapshot request =
-  match request with
-  | Protocol.Rank { benchmark; top; approx_ok = _ } ->
-    handle_rank ?incumbents t snapshot ~benchmark ~top
-  | Protocol.Tune { benchmark; approx_ok = _ } -> handle_tune ?incumbents t snapshot ~benchmark
-  | Protocol.Observe { benchmark; tuning; cost } -> handle_observe t ~benchmark ~tuning ~cost
-  | Protocol.Info -> handle_info t
-  | Protocol.Stats -> handle_stats t
-  | Protocol.Reload { model } -> handle_reload t ~model
-  | Protocol.Canary { model } -> handle_canary t ~model
-  | Protocol.Promote -> handle_promote t
-  | Protocol.Shutdown ->
-    Atomic.set t.stopping true;
-    Protocol.Bye
-
-(* A cache-missing [rank!]/[tune!] answered from the nearest indexed
-   instance within the threshold.  The provisional reply reuses the
-   neighbor's exact winners under the {e requested} benchmark's name
-   and total; the exact computation (seeded with those winners as
-   pruning incumbents) runs as the outcome's [backfill] and leaves the
-   exact bytes in the cache, so the very next identical request is an
-   exact hit.  Counts: [nn_hits]/[approx_replies] on a usable
-   neighbor, [nn_misses] when no indexed instance qualifies. *)
-let approx_reply t snapshot request key =
+(* A [rank!]/[tune!] whose ranking is not resident, answered from the
+   nearest indexed instance within the threshold.  The provisional
+   reply reuses the neighbor's exact winners under the {e requested}
+   benchmark's name and total; building the request's own ranking
+   runs as the outcome's [backfill], so the very next request for that
+   benchmark is an exact slice.  Counts: [nn_hits]/[approx_replies] on
+   a usable neighbor, [nn_misses] when no indexed instance qualifies. *)
+let approx_reply t snapshot request i =
+  let inst = instances.(i) in
   let attempt ns ~benchmark ~need ~mk =
-    match Sorl_stencil.Benchmarks.instance_by_name benchmark with
-    | exception Not_found -> None (* exact path produces the proper error *)
-    | inst -> (
-      try
-        let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
-        let index = nn_sync ns snapshot ~dim in
-        let v = nn_embedding ns snapshot inst in
-        match
-          Sorl_util.Nn_index.nearest ~max_dist:ns.nn_threshold ~exclude:benchmark index v
-        with
-        | Some (_, winners, _) when Array.length winners >= need ->
-          Atomic.incr ns.nn_hits;
-          Sorl_util.Telemetry.incr neighbor_hits_counter;
-          Atomic.incr ns.approx_replies;
-          Sorl_util.Telemetry.incr approx_counter;
-          let o = outcome_of_response (mk inst winners) in
-          let backfill () =
-            let exact = outcome_of_response (dispatch ~incumbents:winners t snapshot request) in
-            if not exact.error then Result_cache.put t.cache key exact.reply
-          in
-          Some { o with backfill = Some backfill }
-        | _ ->
-          Atomic.incr ns.nn_misses;
-          Sorl_util.Telemetry.incr neighbor_misses_counter;
-          None
-      with _ -> None)
+    try
+      let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
+      let nearest index =
+        Sorl_util.Nn_index.nearest ~max_dist:ns.nn_threshold ~exclude:benchmark index
+          (nn_embedding ns snapshot inst)
+      in
+      match Option.bind (nn_sync ns snapshot ~dim) nearest with
+      | Some (_, winners, _) when Array.length winners >= need ->
+        Atomic.incr ns.nn_hits;
+        Sorl_util.Telemetry.incr neighbor_hits_counter;
+        Atomic.incr ns.approx_replies;
+        Sorl_util.Telemetry.incr approx_counter;
+        let o = outcome_of_response (mk winners) in
+        Some { o with backfill = Some (fun () -> ignore (ranking t snapshot i)) }
+      | _ ->
+        Atomic.incr ns.nn_misses;
+        Sorl_util.Telemetry.incr neighbor_misses_counter;
+        None
+    with _ -> None
   in
   match (t.neighbors, request) with
   | Some ns, Protocol.Rank { benchmark; top; approx_ok = true } ->
-    attempt ns ~benchmark ~need:top ~mk:(fun inst winners ->
+    attempt ns ~benchmark ~need:top ~mk:(fun winners ->
         Protocol.Ranked
           {
             benchmark;
@@ -651,34 +618,50 @@ let approx_reply t snapshot request key =
             approx = true;
           })
   | Some ns, Protocol.Tune { benchmark; approx_ok = true } ->
-    attempt ns ~benchmark ~need:1 ~mk:(fun _inst winners ->
+    attempt ns ~benchmark ~need:1 ~mk:(fun winners ->
         Protocol.Tuned { benchmark; tuning = winners.(0); approx = true })
   | _ -> None
 
-(* The hot path: a cacheable request under a warm cache is one LRU
-   lookup; a cache-missing approx-tolerant request may get a
-   provisional neighbor reply; everything else runs the full dispatch
-   and (when it succeeded) leaves its encoded reply behind for the
-   next identical query. *)
-let exact_reply t snapshot request =
-  match cache_key_of snapshot request with
-  | Some key -> (
-    match Result_cache.find t.cache key with
-    | Some reply -> { reply; error = false; bye = false; backfill = None }
+(* rank/tune: a slice of the benchmark's resident ranking, built on
+   first use; a [rank!]/[tune!] that finds it not resident may get a
+   provisional neighbor reply instead. *)
+let from_ranking t snapshot request ~benchmark ~approx_ok reply_of =
+  match bench_index benchmark with
+  | None -> outcome_of_response (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
+  | Some i -> (
+    let exact r = { reply = reply_of r; error = false; bye = false; backfill = None } in
+    match Atomic.get snapshot.rankings.(i) with
+    | Some r ->
+      Atomic.incr t.hits;
+      exact r
     | None -> (
-      match approx_reply t snapshot request key with
+      Atomic.incr t.misses;
+      match if approx_ok then approx_reply t snapshot request i else None with
       | Some o -> o
-      | None ->
-        let o = outcome_of_response (dispatch t snapshot request) in
-        if not o.error then Result_cache.put t.cache key o.reply;
-        o))
-  | None -> outcome_of_response (dispatch t snapshot request)
+      | None -> exact (ranking t snapshot i)))
+
+let dispatch t snapshot request =
+  match request with
+  | Protocol.Rank { benchmark; top; approx_ok } ->
+    from_ranking t snapshot request ~benchmark ~approx_ok (rank_reply ~benchmark ~top)
+  | Protocol.Tune { benchmark; approx_ok } ->
+    from_ranking t snapshot request ~benchmark ~approx_ok (tune_reply ~benchmark)
+  | Protocol.Observe { benchmark; tuning; cost } ->
+    outcome_of_response (handle_observe t ~benchmark ~tuning ~cost)
+  | Protocol.Info -> outcome_of_response (handle_info t)
+  | Protocol.Stats -> outcome_of_response (handle_stats t)
+  | Protocol.Reload { model } -> outcome_of_response (handle_reload t ~model)
+  | Protocol.Canary { model } -> outcome_of_response (handle_canary t ~model)
+  | Protocol.Promote -> outcome_of_response (handle_promote t)
+  | Protocol.Shutdown ->
+    Atomic.set t.stopping true;
+    outcome_of_response Protocol.Bye
 
 (* ---- canary shadow scoring ---- *)
 
 (* Decide whether this request is a shadow sample: a canary is loaded
    and the sampling clock (every [canary_every]-th rank/tune, counting
-   cache hits — the canary must see the real traffic mix) fires. *)
+   every reply — the canary must see the real traffic mix) fires. *)
 let shadow_probe t request =
   match Atomic.get t.canary with
   | None -> None
@@ -713,7 +696,7 @@ let shadow_record t ~benchmark ~agreed =
 
 (* Re-score a sampled request with the candidate and compare against
    the stable reply's tunings (parsed back from the bytes that
-   actually went out, cache hits and warmed entries included).  Runs
+   actually went out, provisional ones included).  Runs
    strictly after the reply is written — never on the reply path. *)
 let shadow_work t cn ~benchmark reply =
   match Sorl_stencil.Benchmarks.instance_by_name benchmark with
@@ -736,13 +719,17 @@ let shadow_work t cn ~benchmark reply =
     | Ok _ | Error _ -> ())
 
 let reply_for t snapshot request =
-  let o = exact_reply t snapshot request in
+  let o = dispatch t snapshot request in
   match shadow_probe t request with
   | None -> o
   | Some _ when o.error -> o
   | Some (cn, benchmark) ->
-    let reply = o.reply in
-    let work () = shadow_work t cn ~benchmark reply in
+    let work () =
+      (* the same bytes the worker wrote: [o.reply] renders immutable data *)
+      let b = Buffer.create 256 in
+      o.reply b;
+      shadow_work t cn ~benchmark (Buffer.contents b)
+    in
     let backfill =
       match o.backfill with
       | None -> work
@@ -798,7 +785,7 @@ let worker_loop t reactor =
                 let o =
                   Sorl_util.Telemetry.span "serve/request" (fun () -> handle_line t line)
                 in
-                Buffer.add_string buf o.reply;
+                o.reply buf;
                 Buffer.add_char buf '\n';
                 (match o.backfill with Some f -> backfills := f :: !backfills | None -> ());
                 if o.bye then bye := true
@@ -809,9 +796,9 @@ let worker_loop t reactor =
               (Buffer.contents buf)
           in
           Reactor.complete reactor conn ~close:(!bye || Result.is_error wrote);
-          (* Provisional replies are already on the wire; now compute
-             their exact results and back-fill the cache.  A failure is
-             dropped — the next exact query simply recomputes. *)
+          (* Provisional replies are already on the wire; now build
+             their rankings.  A failure is dropped — the next request
+             for that benchmark builds it. *)
           List.iter (fun f -> try f () with _ -> ()) (List.rev !backfills);
           loop ()
       in
@@ -828,8 +815,7 @@ let worker_loop t reactor =
 let default_neighbor_threshold = 0.002
 
 let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity = 64)
-    ?(conn_timeout_s = 10.) ?cache_capacity ?(max_connections = 512) ?(warm = true)
-    ?(topk = true) ?(neighbors = 512) ?(neighbor_threshold = default_neighbor_threshold)
+    ?(conn_timeout_s = 10.) ?(max_connections = 512) ?(warm = true) ?(neighbors = 512) ?(neighbor_threshold = default_neighbor_threshold)
     ?obs_log ?obs_roll ?obs_fsync ?(canary_fraction = 1.)
     ?(holdout = Sorl_learn.Trainer.default_holdout)
     ?(holdout_seed = Sorl_learn.Trainer.default_seed) source =
@@ -887,7 +873,7 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
           {
             address;
             source;
-            current = Atomic.make { tuner; model_name; generation = 0 };
+            current = Atomic.make (fresh_snapshot ~tuner ~model_name ~generation:0);
             obs;
             observations = Atomic.make 0;
             holdout;
@@ -905,10 +891,12 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
             canary_bm_m = Mutex.create ();
             canary_bm = Hashtbl.create 32;
             batcher = Batcher.create ();
-            cache = Result_cache.create ?capacity:cache_capacity ();
-            topk;
+            grid2 = make_grid ~dims:2;
+            grid3 = make_grid ~dims:3;
+            hits = Atomic.make 0;
+            misses = Atomic.make 0;
             neighbors = neighbor_state;
-            warm_on_reload = warm;
+            warm;
             workers;
             conn_timeout_s;
             listen_fd;
@@ -929,8 +917,8 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
           }
         in
         (* Warm before accepting: the first query of every benchmark is
-           already served from the cache. *)
-        if warm then warm_cache t;
+           already a slice. *)
+        if warm then warm_snapshot t (Atomic.get t.current);
         let reactor =
           Reactor.create ~listen_fd ~queue:t.queue ~stopping:t.stopping ~max_connections
             ~idle_timeout_s:conn_timeout_s

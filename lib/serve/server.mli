@@ -1,5 +1,6 @@
 (** The ranking server: event-driven connection multiplexer, worker
-    domains, generation-keyed result cache, backpressure, hot reload.
+    domains, resident per-generation rankings, backpressure, hot
+    reload.
 
     A single reactor domain ({!Reactor}) owns every connection: it
     accepts, reads, frames the byte stream into request lines, and
@@ -13,35 +14,41 @@
     rank request's scoring pass never fans out into a second level of
     domains.
 
-    The hot path is the result cache ({!Result_cache}): [rank] and
-    [tune] replies are deterministic under one model generation, so
-    each encoded reply is cached under
-    [(generation, verb/top, benchmark)] — a repeated query is one LRU
-    lookup plus one write, no scoring, no encoding.  The cache is
-    warmed for every registered benchmark after [start] and after each
-    successful [reload]; capacity comes from [SORL_SERVE_CACHE] (0
-    disables) unless [cache_capacity] overrides it.
+    The hot path is a slice of a resident ranking.  Under one model,
+    [rank k] is the first [k] of the benchmark's full ranking of the
+    paper's pre-defined configuration set and [tune] is its first
+    element.  So each serving snapshot carries one full ranking per
+    registered benchmark, stored as 16-bit indices into the grid, and
+    the server keeps one table of pre-encoded tuning strings per grid
+    shape.  A reply of any depth is the [ok rank <b> <n>] header
+    followed by the first [min k n] table entries: no scoring, no
+    formatting, byte-identical to {!Protocol.encode_response}.  With
+    [warm] (the default) all rankings are built before a snapshot goes
+    live, at [start] and at each successful [reload]/[promote].
+    Without it, a benchmark's ranking is built by its first request
+    (through {!Batcher.rank}); concurrent first requests wait for that
+    one build.  A retired generation's rankings are freed with its
+    snapshot, so memory holds at most one ranking per benchmark and
+    live generation, whatever the traffic.
 
     {2 Near-miss reuse}
 
-    Behind the exact cache sits a nearest-neighbor index
+    Behind the rankings sits a nearest-neighbor index
     ({!Sorl_util.Nn_index}) over instance embeddings
     ({!Sorl.Autotuner.embed}), populated with the exact winners of
-    every instance the server has ranked under the current generation
-    (warming fills it at startup).  A [rank!]/[tune!] request
-    ({!Protocol.request} with [approx_ok]) that misses the cache and
-    has an indexed instance within [neighbor_threshold] cosine
-    distance is answered {e immediately} with that neighbor's winners,
-    flagged approximate ([rank~]/[tune~] on the wire); the exact
-    result is computed after the reply is written — seeded with the
-    neighbor's winners as branch-and-bound incumbents, so the pruned
-    selection starts with a tight bound — and back-fills the cache.
-    The next identical request is therefore an exact cache hit, exact
-    replies are byte-identical to a server without the layer, and a
-    reply is never torn between the two (the back-fill runs strictly
+    every instance the server has ranked under the current generation.
+    A [rank!]/[tune!] request ({!Protocol.request} with [approx_ok])
+    whose ranking is not resident and has an indexed instance within
+    [neighbor_threshold] cosine distance is answered {e immediately}
+    with that neighbor's winners, flagged approximate ([rank~]/[tune~]
+    on the wire); its own ranking is built after the reply is written.
+    The next request for that benchmark is therefore an exact slice,
+    exact replies are byte-identical to a server without the layer,
+    and a reply is never torn between the two (the build runs strictly
     after the write).  Requests without [!] never receive approximate
     answers.  The index is keyed to the model generation; a reload
-    drops it wholesale.
+    drops it wholesale.  With [warm] every ranking is resident, so
+    this layer only ever answers under [warm:false].
 
     The served model lives in an [Atomic.t] holding an immutable
     (tuner, name, generation) snapshot: [reload] builds the new
@@ -50,9 +57,9 @@
     a corrupt file is an [err store] reply and the old model keeps
     serving — and swaps it in one atomic store.  In-flight requests
     keep the snapshot they started with; replies are never torn across
-    models, and a cached reply always carries the generation of the
-    model that produced it, so a stale generation's reply can never be
-    served after the reload that retired it.
+    models, and rankings live in the snapshot of the model that
+    produced them, so a stale generation's reply can never be served
+    after the reload that retired it.
 
     Backpressure is explicit: when [max_connections] is reached at
     accept, or the worker queue is full at dispatch, the client gets an
@@ -76,7 +83,7 @@
     the candidate is judged on records it never trained on) and
     compares mean per-benchmark Kendall tau: no worse installs the
     candidate through {e exactly} the hot-reload snapshot swap (new
-    generation, warmed cache); worse rolls it back and quarantines the
+    generation, rankings built); worse rolls it back and quarantines the
     name until a new generation is published.
 
     Shutdown (the protocol request, or {!stop}) is graceful: the
@@ -86,16 +93,17 @@
 
     Telemetry (when enabled): [serve.requests], [serve.errors],
     [serve.connections], [serve.busy], [serve.reloads],
-    [serve.pipelined], [serve.result_cache_hits],
-    [serve.result_cache_misses], [serve.result_cache_evictions],
-    [serve.neighbor_hits], [serve.neighbor_misses],
+    [serve.pipelined], [serve.neighbor_hits], [serve.neighbor_misses],
     [serve.approx_replies] counters, a [serve/request] span per
     request and [serve.request_s] / [serve.queue_depth] histograms.
-    The same numbers are exported over the wire by the [stats]
-    request ([neighbor_entries], [neighbor_capacity],
-    [neighbor_evictions] and per-generation
-    [result_cache_entries_g<n>] occupancy ride along).  For a pure
-    [rank!]/[tune!] load,
+    The [stats] request exports these and more.  The
+    [result_cache_*] keys keep their names: [result_cache_hits] counts
+    rank/tune replies sliced from a resident ranking,
+    [result_cache_misses] the rank/tune requests that found their
+    benchmark's ranking not resident (and so needed it built), and
+    [result_cache_entries] the rankings resident in the current
+    generation.  [rank_leaders] counts the builds.  For a pure
+    [rank!]/[tune!] load over known benchmarks,
     [approx_replies + result_cache_hits + neighbor_misses] accounts
     for every request exactly once. *)
 
@@ -132,10 +140,8 @@ val start :
   ?workers:int ->
   ?queue_capacity:int ->
   ?conn_timeout_s:float ->
-  ?cache_capacity:int ->
   ?max_connections:int ->
   ?warm:bool ->
-  ?topk:bool ->
   ?neighbors:int ->
   ?neighbor_threshold:float ->
   ?obs_log:string ->
@@ -146,22 +152,19 @@ val start :
   ?holdout_seed:int ->
   source ->
   (t, string) result
-(** Load the initial model, bind the listener, warm the result cache
-    and spawn the reactor and worker domains.  Defaults:
-    [unix:sorl.sock], [Sorl_util.Pool.default_domains ()] workers,
-    queue capacity 64 batches, 10 s idle/write timeout, cache capacity
-    from [SORL_SERVE_CACHE] (else 1024; 0 disables), 512 connections,
-    [warm] true, [topk] true, [neighbors] 512,
-    [neighbor_threshold] {!default_neighbor_threshold}.
-    [Tcp (host, 0)] binds an ephemeral port — read the real one back
-    from {!address}.
+(** Load the initial model, bind the listener, build every
+    benchmark's ranking (unless [warm] is false) and spawn the reactor
+    and worker domains.  Defaults: [unix:sorl.sock],
+    [Sorl_util.Pool.default_domains ()] workers, queue capacity 64
+    batches, 10 s idle/write timeout, 512 connections, [warm] true,
+    [neighbors] 512, [neighbor_threshold]
+    {!default_neighbor_threshold}.  [Tcp (host, 0)] binds an ephemeral
+    port — read the real one back from {!address}.
 
-    [topk] selects the cold-path implementation of rank/tune: pruned
-    top-k selection over the predefined grid
-    ({!Batcher.rank_top}) instead of a full encode-and-sort.  Replies
-    are byte-identical either way (the fast path is an exact partial
-    selection and [total] is the known grid size); the flag exists as
-    a kill switch and for before/after benchmarking.
+    [warm:false] defers each benchmark's ranking to its first request,
+    at start and after every reload: replies are the same bytes,
+    only the first request per benchmark and generation pays for the
+    scoring pass.
 
     [neighbors] caps the near-miss index's entry count (LRU beyond
     it); 0 disables the layer entirely, making [rank!]/[tune!]

@@ -164,6 +164,23 @@ let test_portfolio_deterministic () =
   checkb "same winner" true (String.equal w1 w2);
   Alcotest.check feq "same cost" o1.Sorl_search.Runner.best_cost o2.Sorl_search.Runner.best_cost
 
+(* Inner generational GA, DE and ES batches evaluate through the
+   portfolio's global runner; at any pool size the run must spend the
+   exact budget along the serial trajectory. *)
+let test_portfolio_pool_sizes () =
+  let run n = Sorl_util.Pool.with_domains n (fun () -> Sorl_search.Portfolio.run ~seed:3 ~budget:512 sphere) in
+  let serial, serial_winner = run 1 in
+  List.iter
+    (fun n ->
+      let o, winner = run n in
+      let at what = Printf.sprintf "%s at %d domains" what n in
+      checki (at "budget") 512 o.Sorl_search.Runner.evaluations;
+      checkb (at "same winner") true (String.equal winner serial_winner);
+      checkb (at "same curve") true (o.Sorl_search.Runner.curve = serial.Sorl_search.Runner.curve);
+      checkb (at "same best point") true
+        (o.Sorl_search.Runner.best_point = serial.Sorl_search.Runner.best_point))
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "precision@k perfect" `Quick test_precision_perfect;
@@ -180,4 +197,5 @@ let suite =
     Alcotest.test_case "portfolio quality" `Quick test_portfolio_quality;
     Alcotest.test_case "portfolio validation" `Quick test_portfolio_validation;
     Alcotest.test_case "portfolio determinism" `Quick test_portfolio_deterministic;
+    Alcotest.test_case "portfolio pool sizes 1/2/4" `Quick test_portfolio_pool_sizes;
   ]

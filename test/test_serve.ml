@@ -260,10 +260,10 @@ let test_batcher_coalesces () =
     List.init domains (fun d ->
         Domain.spawn (fun () ->
             for j = 0 to calls_per_domain - 1 do
-              let r, _follower =
+              let order, _follower =
                 Batcher.rank b ~generation:0 ~tuner ~inst candidates
               in
-              results.((d * calls_per_domain) + j) <- r
+              results.((d * calls_per_domain) + j) <- Array.map (fun i -> candidates.(i)) order
             done))
   in
   List.iter Domain.join spawned;
@@ -274,8 +274,9 @@ let test_batcher_coalesces () =
   checkb "leaders ran" true (s.Batcher.leaders >= 1);
   checkb "encoder cache reused" true (s.Batcher.encoder_hits >= 1);
   (* a new generation must not share in-flight results across keys *)
-  let r1, f1 = Batcher.rank b ~generation:1 ~tuner ~inst candidates in
-  checkb "fresh generation ranks fine" true (r1 = direct && not f1)
+  let o1, f1 = Batcher.rank b ~generation:1 ~tuner ~inst candidates in
+  checkb "fresh generation ranks fine" true
+    (Array.map (fun i -> candidates.(i)) o1 = direct && not f1)
 
 (* ---- result cache ---- *)
 
@@ -378,13 +379,12 @@ let test_connect_backoff () =
 (* ---- server end-to-end ---- *)
 
 let start_server ?(workers = 2) ?(queue_capacity = 16) ?(conn_timeout_s = 10.)
-    ?cache_capacity ?max_connections ?warm ?topk ?neighbors ?neighbor_threshold ?obs_log
-    ?canary_fraction dir source =
+    ?max_connections ?warm ?neighbors ?neighbor_threshold ?obs_log ?canary_fraction dir
+    source =
   let address = Protocol.Unix_path (Filename.concat dir "test.sock") in
   get
-    (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?cache_capacity
-       ?max_connections ?warm ?topk ?neighbors ?neighbor_threshold ?obs_log
-       ?canary_fraction source)
+    (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?max_connections ?warm
+       ?neighbors ?neighbor_threshold ?obs_log ?canary_fraction source)
 
 (* A raw socket speaking the wire protocol directly — for tests that
    care about exact reply bytes, pipelined trains and connection
@@ -469,31 +469,29 @@ let test_server_tune_info_stats () =
          Ok ()));
   shutdown_server server
 
-let test_server_stats_cold_path_counters () =
+let test_batcher_top_k_counters () =
+  (* the pruned top-k path's arena and prune counters, in process: the
+     first call allocates a scratch, the second reuses it, and both
+     prune most of the grid while matching the full sort's prefix *)
   let tuner = Lazy.force tuner_a in
-  with_temp_dir @@ fun dir ->
-  (* cache off and no warming: every rank takes the cold top-k path,
-     so the arena and prune counters must move *)
-  let server =
-    start_server ~cache_capacity:0 ~warm:false dir (file_source dir tuner)
-  in
-  get
-    (Client.with_connection (Server.address server) (fun c ->
-         ignore (get (Client.rank c ~benchmark ~top:3));
-         ignore (get (Client.rank c ~benchmark ~top:3));
-         let stats = get (Client.stats c) in
-         let count key =
-           match List.assoc_opt key stats with
-           | Some n -> n
-           | None -> Alcotest.failf "stats reply is missing %S" key
-         in
-         checkb "first cold rank allocates a scratch" true (count "arena_misses" >= 1);
-         checkb "second cold rank reuses it" true (count "arena_hits" >= 1);
-         checkb "top-k path scored candidates" true (count "scored_candidates" > 0);
-         checkb "pruning skipped subcubes" true (count "pruned_subcubes" > 0);
-         checkb "pruning skipped candidates" true (count "pruned_candidates" > 0);
-         Ok ()));
-  shutdown_server server
+  let inst = Benchmarks.instance_by_name "gradient-256x256x256" in
+  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let direct = Sorl.Autotuner.rank tuner inst set in
+  let b = Batcher.create () in
+  List.iter
+    (fun k ->
+      let top, follower = Batcher.rank_top b ~generation:0 ~tuner ~inst ~k () in
+      checkb "not coalesced" false follower;
+      checkb "top-k = full-sort prefix" true (top = Array.sub direct 0 k))
+    [ 3; 10 ];
+  let s = Batcher.stats b in
+  checki "first top-k allocates a scratch" 1 s.Batcher.arena_misses;
+  checki "second top-k reuses it" 1 s.Batcher.arena_hits;
+  checkb "top-k path scored candidates" true (s.Batcher.cands_scored > 0);
+  checkb "pruning skipped subcubes" true (s.Batcher.cubes_pruned > 0);
+  checkb "pruning skipped candidates" true (s.Batcher.cands_pruned > 0);
+  checki "scored + pruned = two grids" (2 * Array.length set)
+    (s.Batcher.cands_scored + s.Batcher.cands_pruned)
 
 let test_server_rejects_malformed_line () =
   with_temp_dir @@ fun dir ->
@@ -517,50 +515,117 @@ let test_server_rejects_malformed_line () =
   shutdown_server server
 
 let test_server_cached_replies_byte_identical () =
-  let tuner = Lazy.force tuner_a in
-  let ask server line =
+  (* Every reply is a slice of a resident ranking: for every registered
+     benchmark, at every interesting depth, the raw bytes must equal
+     [Protocol.encode_response] of the in-process rank prefix — on a
+     warmed server, on one that ranks each benchmark on first request,
+     and on both again after a reload to another model. *)
+  let a = Lazy.force tuner_a and b = Lazy.force tuner_b in
+  let expected tuner =
+    List.concat_map
+      (fun inst ->
+        let benchmark = Instance.name inst in
+        let ranked =
+          Sorl.Autotuner.rank tuner inst
+            (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+        in
+        let n = Array.length ranked in
+        let rank k =
+          ( Printf.sprintf "sorl1 rank %s %d" benchmark k,
+            Protocol.encode_response
+              (Protocol.Ranked
+                 {
+                   benchmark;
+                   total = n;
+                   tunings = Array.to_list (Array.sub ranked 0 (min k n));
+                   approx = false;
+                 }) )
+        in
+        List.map rank [ 1; 2; 3; 10; 11; n - 1; n; n + 7 ]
+        @ [
+            ( "sorl1 tune " ^ benchmark,
+              Protocol.encode_response
+                (Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }) );
+          ])
+      Benchmarks.instances
+  in
+  (* [ask_all] may run on other domains; only the main domain calls
+     Alcotest. *)
+  let ask_all server queries =
     let (_, ic, oc) as conn = raw_connect server in
-    output_string oc (line ^ "\n");
-    flush oc;
-    let reply = input_line ic in
+    let replies =
+      List.map
+        (fun (q, _) ->
+          output_string oc (q ^ "\n");
+          flush oc;
+          input_line ic)
+        queries
+    in
     raw_close conn;
-    reply
+    replies
   in
+  let check_all server queries =
+    List.iter2 (fun (q, want) got -> checks q want got) queries (ask_all server queries)
+  in
+  let stats server = get (Client.with_connection (Server.address server) Client.stats) in
+  let benchmarks = List.length Benchmarks.instances in
   with_temp_dir @@ fun dir ->
-  (* two servers over the same model file: one warmed and cached, one
-     with the cache disabled — raw reply bytes must be identical *)
-  let cached = start_server dir (file_source dir tuner) in
-  let uncached_dir = Filename.concat dir "u" in
-  Unix.mkdir uncached_dir 0o755;
-  let uncached =
-    start_server ~cache_capacity:0 ~warm:false uncached_dir
-      (file_source uncached_dir tuner)
+  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
+  get (Model_store.save store ~name:"default" a);
+  get (Model_store.save store ~name:"other" b);
+  let sub name =
+    let d = Filename.concat dir name in
+    Unix.mkdir d 0o755;
+    d
   in
-  let queries =
-    [
-      "sorl1 rank " ^ benchmark ^ " 3";
-      "sorl1 rank " ^ benchmark ^ " 1";
-      "sorl1 tune " ^ benchmark;
-      "sorl1 rank gradient-256x256x256 10";
-    ]
-  in
+  let warmed = start_server (sub "w") (Server.Store (store, "default")) in
+  let cold = start_server ~warm:false (sub "c") (Server.Store (store, "default")) in
+  let from_a = expected a in
+  let reads = List.length from_a in
+  List.iter (fun server -> check_all server from_a) [ warmed; cold ];
+  let sw = stats warmed and sc = stats cold in
+  checki "warmed: every read a slice" reads (List.assoc "result_cache_hits" sw);
+  checki "warmed: no read built a ranking" 0 (List.assoc "result_cache_misses" sw);
+  checki "warmed: one ranking per benchmark" benchmarks (List.assoc "result_cache_entries" sw);
+  checki "cold: first read of each benchmark built it" benchmarks
+    (List.assoc "result_cache_misses" sc);
+  checki "cold: the rest were slices" (reads - benchmarks) (List.assoc "result_cache_hits" sc);
+  checki "cold: one build per benchmark" benchmarks (List.assoc "rank_leaders" sc);
+  checki "cold: all resident now" benchmarks (List.assoc "result_cache_entries" sc);
+  (* a reload to a different model: replies follow the new model *)
   List.iter
-    (fun q ->
-      let hot = ask cached q in
-      checks ("cached = uncached for " ^ q) (ask uncached q) hot;
-      checks ("cached reply stable for " ^ q) hot (ask cached q))
-    queries;
-  (* every query above hit the warmed cache; none of them scored *)
-  let stats = get (Client.with_connection (Server.address cached) Client.stats) in
-  checkb "cache hits recorded" true
-    (List.assoc "result_cache_hits" stats >= List.length queries);
-  checki "no misses on the warmed set" 0 (List.assoc "result_cache_misses" stats);
-  checkb "warming filled entries" true (List.assoc "result_cache_entries" stats > 0);
-  let stats_off = get (Client.with_connection (Server.address uncached) Client.stats) in
-  checki "disabled cache capacity" 0 (List.assoc "result_cache_capacity" stats_off);
-  checki "disabled cache hits" 0 (List.assoc "result_cache_hits" stats_off);
-  shutdown_server cached;
-  shutdown_server uncached
+    (fun server ->
+      ignore
+        (get (Client.with_connection (Server.address server) (Client.reload ~model:"other"))))
+    [ warmed; cold ];
+  checki "cold: reload retires the rankings" 0 (List.assoc "result_cache_entries" (stats cold));
+  let from_b = expected b in
+  checkb "the models rank differently" true (from_a <> from_b);
+  List.iter (fun server -> check_all server from_b) [ warmed; cold ];
+  checki "warmed: reload pre-built the new rankings" 0
+    (List.assoc "result_cache_misses" (stats warmed));
+  checki "cold: one build per benchmark and generation" (2 * benchmarks)
+    (List.assoc "rank_leaders" (stats cold));
+  shutdown_server warmed;
+  shutdown_server cold;
+  (* concurrent first requests wait for the one build; each reload
+     (same model, new generation) starts another race *)
+  let racing = start_server ~workers:4 ~warm:false (sub "r") (Server.Store (store, "default")) in
+  let tunes = List.filter (fun (q, _) -> String.starts_with ~prefix:"sorl1 tune" q) from_a in
+  let clients = 4 and rounds = 5 in
+  for _ = 1 to rounds do
+    List.iter
+      (fun d -> List.iter2 (fun (q, want) got -> checks q want got) tunes (Domain.join d))
+      (List.init clients (fun _ -> Domain.spawn (fun () -> ask_all racing tunes)));
+    ignore
+      (get (Client.with_connection (Server.address racing) (Client.reload ~model:"default")))
+  done;
+  let sr = stats racing in
+  checki "racing: each ranking built once per generation" (rounds * benchmarks)
+    (List.assoc "rank_leaders" sr);
+  checki "racing: every read answered" (rounds * clients * benchmarks)
+    (List.assoc "result_cache_hits" sr + List.assoc "result_cache_misses" sr);
+  shutdown_server racing
 
 let test_client_pipeline_in_order () =
   let tuner = Lazy.force tuner_a in
@@ -689,22 +754,18 @@ let test_server_sheds_excess_connections () =
 
 let test_server_busy_backpressure () =
   with_temp_dir @@ fun dir ->
-  (* [topk:false]: this test needs the worker pinned for ~2 s by the
-     full-sort scoring pass; the pruned top-k path finishes the train
-     before the queue ever fills. *)
   let server =
-    start_server ~workers:1 ~queue_capacity:1 ~cache_capacity:0 ~warm:false ~topk:false
-      dir
-      (file_source dir (Lazy.force tuner_a))
+    start_server ~workers:1 ~queue_capacity:1 dir (file_source dir (Lazy.force tuner_a))
   in
-  (* The single uncached worker chews through a long pipelined train
-     from c1 (one batch, one worker, ~2 s of scoring on the heaviest
-     benchmark); c2's request then sits in the 1-slot queue, and c3's
-     must be shed with an explicit busy reply. *)
-  let train = 300 and heavy = "gradient-256x256x256" in
+  (* c1 pipelines a train of full-depth ranks of the largest grid (one
+     batch, about 150 KB of reply per line) and does not read: the
+     single worker blocks writing the replies until c1 reads.  c2's
+     request then sits in the 1-slot queue, and c3's must be shed with
+     an explicit busy reply. *)
+  let train = 32 and heavy = "gradient-256x256x256" in
   let (_, ic1, oc1) as c1 = raw_connect server in
   for _ = 1 to train do
-    output_string oc1 ("sorl1 rank " ^ heavy ^ " 1\n")
+    output_string oc1 ("sorl1 rank " ^ heavy ^ " 8640\n")
   done;
   flush oc1;
   Unix.sleepf 0.3;
@@ -1015,10 +1076,10 @@ let test_server_canary_cycle_zero_torn_replies () =
 (* ---- near-miss reuse ---- *)
 
 let test_server_provisional_then_exact () =
-  (* One worker makes the sequencing deterministic: the back-fill runs
-     on the worker strictly after the provisional reply is written and
-     before the next batch, so the second identical request must be an
-     exact cache hit. *)
+  (* One worker makes the sequencing deterministic: the ranking build
+     runs on the worker strictly after the provisional reply is written
+     and before the next batch, so the next request for that benchmark
+     must be an exact slice. *)
   let tuner = Lazy.force tuner_a in
   let near = "blur-1024x1024" in
   (* [benchmark] = blur-1024x768 is its size variant *)
@@ -1038,39 +1099,47 @@ let test_server_provisional_then_exact () =
             with its top-10 winners *)
          checkb "prime = direct" true
            (get (Client.rank c ~benchmark:near ~top:10) = exact_of near ~top:10);
-         (* a cache-missing rank! on the size variant is answered
-            provisionally with the neighbor's winners *)
+         (* a rank! on the size variant, whose ranking is not resident,
+            is answered provisionally with the neighbor's winners *)
          let tunings, approx = get (Client.rank_approx c ~benchmark ~top:5) in
          checkb "provisional reply flagged" true approx;
          checkb "provisional = neighbor's winners" true (tunings = exact_of near ~top:5);
-         (* ... and the back-fill leaves the exact bytes in the cache:
-            the same request is now an exact, unflagged hit *)
+         (* ... and its ranking is built after the reply: the same
+            request is now an exact, unflagged slice, and so is tune! *)
          let tunings2, approx2 = get (Client.rank_approx c ~benchmark ~top:5) in
          checkb "second ask is exact" true (not approx2);
-         checkb "back-filled = direct" true (tunings2 = exact_of benchmark ~top:5);
-         (* tune! takes the same provisional-then-exact path *)
-         let t1, a1 = get (Client.tune_approx c ~benchmark) in
+         checkb "built = direct" true (tunings2 = exact_of benchmark ~top:5);
+         let t0, a0 = get (Client.tune_approx c ~benchmark) in
+         checkb "tune! on a resident ranking is exact" true (not a0);
+         checkb "resident tune = direct" true
+           (Tuning.equal t0 (List.hd (exact_of benchmark ~top:1)));
+         (* tune! takes the same provisional-then-exact path, here on
+            game-of-life, whose 3x3 pattern encodes like edge's *)
+         let edge = "edge-512x512" and life = "game-of-life-512x512" in
+         ignore (get (Client.rank c ~benchmark:edge ~top:10));
+         let t1, a1 = get (Client.tune_approx c ~benchmark:life) in
          checkb "tune! provisional" true a1;
          checkb "provisional best = neighbor's best" true
-           (Tuning.equal t1 (List.hd (exact_of near ~top:1)));
-         let t2, a2 = get (Client.tune_approx c ~benchmark) in
+           (Tuning.equal t1 (List.hd (exact_of edge ~top:1)));
+         let t2, a2 = get (Client.tune_approx c ~benchmark:life) in
          checkb "tune! settles exact" true (not a2);
          checkb "exact tune = direct" true
-           (Tuning.equal t2 (List.hd (exact_of benchmark ~top:1)));
+           (Tuning.equal t2 (List.hd (exact_of life ~top:1)));
          (* plain rank never sees an approximation, even on a cold key *)
          checkb "plain rank exact on cold key" true
            (get (Client.rank c ~benchmark ~top:7) = exact_of benchmark ~top:7);
          let stats = get (Client.stats c) in
          checkb "neighbor hits counted" true (List.assoc "neighbor_hits" stats >= 2);
          checkb "approx replies counted" true (List.assoc "approx_replies" stats >= 2);
-         checkb "index populated" true (List.assoc "neighbor_entries" stats >= 2);
+         checkb "index populated" true (List.assoc "neighbor_entries" stats >= 4);
          Ok ()));
   shutdown_server server
 
 let test_server_neighbor_reconciliation () =
   (* For a pure rank!/tune! load over known benchmarks,
      approx_replies + result_cache_hits + neighbor_misses accounts for
-     every request exactly once. *)
+     every request exactly once, and result_cache_misses counts the
+     requests whose ranking was not resident. *)
   let tuner = Lazy.force tuner_a in
   with_temp_dir @@ fun dir ->
   let server = start_server ~workers:1 ~warm:false dir (file_source dir tuner) in
@@ -1080,15 +1149,15 @@ let test_server_neighbor_reconciliation () =
          let bang_requests =
            [
              Protocol.Rank { benchmark = a; top = 5; approx_ok = true };
-             (* cache miss, empty index -> neighbor miss, exact *)
+             (* not resident, empty index -> neighbor miss, exact *)
              Protocol.Rank { benchmark = a; top = 5; approx_ok = true };
-             (* cache hit *)
+             (* resident slice *)
              Protocol.Rank { benchmark = b; top = 5; approx_ok = true };
-             (* neighbor hit -> approx *)
+             (* not resident, neighbor hit -> approx, b built after *)
              Protocol.Rank { benchmark = b; top = 5; approx_ok = true };
-             (* back-filled cache hit *)
+             (* resident slice *)
              Protocol.Tune { benchmark = b; approx_ok = true };
-             (* distinct cache key -> neighbor hit again *)
+             (* another depth of the same ranking: a slice too *)
            ]
          in
          List.iter (fun r -> ignore (get (Client.request c r))) bang_requests;
@@ -1097,9 +1166,10 @@ let test_server_neighbor_reconciliation () =
          checki "approx + cache hits + neighbor misses = bang requests"
            (List.length bang_requests)
            (v "approx_replies" + v "result_cache_hits" + v "neighbor_misses");
-         checki "approx replies" 2 (v "approx_replies");
-         checki "cache hits" 2 (v "result_cache_hits");
+         checki "approx replies" 1 (v "approx_replies");
+         checki "resident slices" 3 (v "result_cache_hits");
          checki "neighbor misses" 1 (v "neighbor_misses");
+         checki "not resident" 2 (v "result_cache_misses");
          Ok ()));
   shutdown_server server
 
@@ -1214,8 +1284,8 @@ let suite =
     Alcotest.test_case "served ranks = direct ranks (workers 1/2/4)" `Slow
       test_server_matches_direct_rank;
     Alcotest.test_case "tune/info/stats and typed errors" `Quick test_server_tune_info_stats;
-    Alcotest.test_case "stats exposes cold-path counters" `Quick
-      test_server_stats_cold_path_counters;
+    Alcotest.test_case "batcher top-k: arena and prune counters" `Quick
+      test_batcher_top_k_counters;
     Alcotest.test_case "malformed line gets bad-request" `Quick
       test_server_rejects_malformed_line;
     Alcotest.test_case "cached replies byte-identical to uncached" `Slow
