@@ -7,7 +7,7 @@
 
    Experiments: table2 table3 fig4 fig5 fig6 fig7 ablation baselines
    extensions stability csv perf rank-throughput serve-throughput
-   cold-rank fleet-throughput neighbor-reuse micro telemetry-overhead
+   cold-rank fleet-throughput micro telemetry-overhead
    online-learn.
    See DESIGN.md for the experiment index and EXPERIMENTS.md for the
    paper-vs-measured discussion of one full run. *)
@@ -1132,7 +1132,7 @@ let rank_throughput () =
 (* ---- Serve throughput: the socket server vs in-process ranking ---- *)
 
 let serve_throughput () =
-  header "Serve throughput: cold (no warm) and hot (warmed) vs direct rank";
+  header "Serve throughput: the socket server (every ranking resident) vs direct rank";
   let m = Sorl_machine.Measure.model machine in
   let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
   let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
@@ -1145,7 +1145,8 @@ let serve_throughput () =
         ignore (Sys.opaque_identity (Sorl.Autotuner.rank tuner inst set)))
   in
   let direct_rps = 1. /. direct_s in
-  let expected = (Sorl.Autotuner.rank tuner inst set).(0) in
+  let ranked = Sorl.Autotuner.rank tuner inst set in
+  let expected = ranked.(0) in
   let was_on = Sorl_util.Telemetry.enabled () in
   Sorl_util.Telemetry.set_enabled true;
   let dir = Filename.temp_dir "sorl-serve-bench" "" in
@@ -1155,19 +1156,8 @@ let serve_throughput () =
   (match Sorl_serve.Model_store.save store ~name:"default" tuner with
   | Ok () -> ()
   | Error m -> failwith m);
-  let start_server ~warm name =
-    let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
-    match
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~warm
-        (Sorl_serve.Server.Store (store, "default"))
-    with
-    | Ok s -> s
-    | Error m -> failwith m
-  in
   let protocol_errors = Atomic.make 0 in
-  (* [mixed] alternates rank and tune per request (even/odd j), so the
-     cold phase can report distinct per-verb percentiles. *)
-  let run_load ?(mixed = false) address ~clients ~per_client =
+  let run_load address ~clients ~per_client =
     let latencies = Array.make (clients * per_client) 0. in
     let (), wall =
       Sorl_util.Timer.time (fun () ->
@@ -1177,31 +1167,17 @@ let serve_throughput () =
               | Ok c ->
                 for j = 0 to per_client - 1 do
                   let t0 = Unix.gettimeofday () in
-                  (if mixed && j land 1 = 1 then
-                     match Sorl_serve.Client.tune c ~benchmark with
-                     | Ok best when Tuning.equal best expected -> ()
-                     | Ok _ | Error _ -> Atomic.incr protocol_errors
-                   else
-                     match Sorl_serve.Client.rank c ~benchmark ~top:3 with
-                     | Ok (best :: _) when Tuning.equal best expected -> ()
-                     | Ok _ | Error _ -> Atomic.incr protocol_errors);
+                  (match Sorl_serve.Client.rank c ~benchmark ~top:3 with
+                  | Ok (best :: _) when Tuning.equal best expected -> ()
+                  | Ok _ | Error _ -> Atomic.incr protocol_errors);
                   latencies.((ci * per_client) + j) <- Unix.gettimeofday () -. t0
                 done;
                 Sorl_serve.Client.close c))
     in
     (wall, latencies)
   in
-  (* Per-verb latency split for a mixed load: j even was rank, odd tune. *)
-  let split_verbs lat ~per_client =
-    let rank = ref [] and tune = ref [] in
-    Array.iteri
-      (fun i x ->
-        if i mod per_client land 1 = 0 then rank := x :: !rank else tune := x :: !tune)
-      lat;
-    (Array.of_list !rank, Array.of_list !tune)
-  in
-  (* Exact reply bytes, below the typed client — for the cold = hot
-     identity gate. *)
+  (* Exact reply bytes, below the typed client — for the identity
+     gate. *)
   let raw_ask address line =
     match address with
     | Sorl_serve.Protocol.Unix_path path ->
@@ -1216,6 +1192,16 @@ let serve_throughput () =
     | _ -> assert false
   in
   let identity_query = "sorl1 rank " ^ benchmark ^ " 3" in
+  let identity_reply =
+    Sorl_serve.Protocol.encode_response
+      (Sorl_serve.Protocol.Ranked
+         {
+           benchmark;
+           total = Array.length ranked;
+           tunings = Array.to_list (Array.sub ranked 0 3);
+           approx = false;
+         })
+  in
   let control address keys =
     match
       Sorl_serve.Client.with_connection address (fun c ->
@@ -1232,54 +1218,33 @@ let serve_throughput () =
       Printf.printf "WARNING: control connection failed: %s\n" m;
       List.map (fun _ -> 0) keys
   in
-  (* ---- cold: nothing ranked at start; the first request ranks the
-     benchmark (concurrent first requests wait for that one build), the
-     rest slice the resident ranking ---- *)
+  (* Every ranking is built at start: each query is a slice plus one
+     write. *)
   Sorl_util.Telemetry.reset ();
-  let cold_server = start_server ~warm:false "cold.sock" in
-  let cold_addr = Sorl_serve.Server.address cold_server in
-  let cold_clients = 4 and cold_per = 50 in
-  let cold_total = cold_clients * cold_per in
-  let cold_wall, cold_lat =
-    run_load ~mixed:true cold_addr ~clients:cold_clients ~per_client:cold_per
+  let hot_server =
+    match
+      Sorl_serve.Server.start
+        ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "hot.sock"))
+        ~workers:4 ~queue_capacity:64
+        (Sorl_serve.Server.Store (store, "default"))
+    with
+    | Ok s -> s
+    | Error m -> failwith m
   in
-  let cold_rank_lat, cold_tune_lat = split_verbs cold_lat ~per_client:cold_per in
-  (* Read the request counter before the identity/control traffic below
-     adds its own requests, so it must equal the load generator's count
-     exactly. *)
-  let cold_requests = Sorl_util.Telemetry.counter_value "serve.requests" in
-  let cold_reconciled = cold_requests = cold_total in
-  let cold_errors = Atomic.get protocol_errors in
-  let cold_reply = raw_ask cold_addr identity_query in
-  let leaders, followers =
-    match control cold_addr [ "rank_leaders"; "rank_followers" ] with
-    | [ l; f ] -> (l, f)
-    | _ -> (0, 0)
-  in
-  Sorl_serve.Server.stop cold_server;
-  Sorl_serve.Server.wait cold_server;
-  let cold_rps = float_of_int cold_total /. cold_wall in
-  let cold_p50 = Stats.percentile cold_lat 50. and cold_p99 = Stats.percentile cold_lat 99. in
-  let hit_rate =
-    if leaders + followers = 0 then 0.
-    else float_of_int followers /. float_of_int (leaders + followers)
-  in
-  let factor = direct_rps /. cold_rps in
-  (* ---- hot: every ranking built at start — each query is a slice
-     plus one write ---- *)
-  Sorl_util.Telemetry.reset ();
-  let hot_server = start_server ~warm:true "hot.sock" in
   let hot_addr = Sorl_serve.Server.address hot_server in
   let hot_clients = 4 and hot_per = 200 in
   let hot_total = hot_clients * hot_per in
   let hot_wall, hot_lat = run_load hot_addr ~clients:hot_clients ~per_client:hot_per in
+  (* Read the request counter before the identity/control traffic below
+     adds its own requests, so it must equal the load generator's count
+     exactly. *)
   let hot_requests = Sorl_util.Telemetry.counter_value "serve.requests" in
   let hot_reconciled = hot_requests = hot_total in
-  let hot_errors = Atomic.get protocol_errors - cold_errors in
+  let hot_errors = Atomic.get protocol_errors in
   let hot_reply = raw_ask hot_addr identity_query in
   let hot_reply_again = raw_ask hot_addr identity_query in
   let identical =
-    String.equal cold_reply hot_reply && String.equal hot_reply hot_reply_again
+    String.equal identity_reply hot_reply && String.equal hot_reply hot_reply_again
   in
   (* Pipelining: one connection writes a whole train before reading;
      the server answers in order with one buffered write. *)
@@ -1303,12 +1268,10 @@ let serve_throughput () =
       dt
   in
   let pipeline_rps = float_of_int pipeline_depth /. pipeline_s in
-  let cache_hits, cache_misses, pipelined =
-    match
-      control hot_addr [ "result_cache_hits"; "result_cache_misses"; "pipelined" ]
-    with
-    | [ h; mi; p ] -> (h, mi, p)
-    | _ -> (0, 0, 0)
+  let cache_hits, pipelined =
+    match control hot_addr [ "result_cache_hits"; "pipelined" ] with
+    | [ h; p ] -> (h, p)
+    | _ -> (0, 0)
   in
   Sorl_serve.Server.stop hot_server;
   Sorl_serve.Server.wait hot_server;
@@ -1316,52 +1279,23 @@ let serve_throughput () =
   Sorl_util.Telemetry.set_enabled was_on;
   let hot_p50 = Stats.percentile hot_lat 50. and hot_p99 = Stats.percentile hot_lat 99. in
   let total_errors = Atomic.get protocol_errors in
-  Printf.printf "direct rank: %.1f req/s\n" direct_rps;
-  Printf.printf
-    "cold (no warm, %d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
-    cold_clients cold_per cold_rps (cold_rps /. direct_rps) (Table.fmt_time cold_p50)
-    (Table.fmt_time cold_p99);
-  Printf.printf "  per verb: rank p50 %s p99 %s | tune p50 %s p99 %s\n"
-    (Table.fmt_time (Stats.percentile cold_rank_lat 50.))
-    (Table.fmt_time (Stats.percentile cold_rank_lat 99.))
-    (Table.fmt_time (Stats.percentile cold_tune_lat 50.))
-    (Table.fmt_time (Stats.percentile cold_tune_lat 99.));
-  Printf.printf "  batching: %d leaders, %d followers (%.0f%% coalesced)\n" leaders
-    followers (100. *. hit_rate);
-  Printf.printf
-    "hot (warmed, %d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
-    hot_clients hot_per
-    (float_of_int hot_total /. hot_wall)
-    (float_of_int hot_total /. hot_wall /. direct_rps)
-    (Table.fmt_time hot_p50) (Table.fmt_time hot_p99);
-  Printf.printf "  rankings: %d hits, %d misses; pipelined %d; pipeline(%d): %.1f req/s\n"
-    cache_hits cache_misses pipelined pipeline_depth pipeline_rps;
-  Printf.printf
-    "replies byte-identical (cold = hot = hot again): %b; protocol errors: %d\n"
-    identical total_errors;
-  Printf.printf "telemetry requests cold %d/%d, hot %d/%d\n" cold_requests cold_total
-    hot_requests hot_total;
   let hot_rps = float_of_int hot_total /. hot_wall in
+  Printf.printf "direct rank: %.1f req/s\n" direct_rps;
+  Printf.printf "served (%d clients x %d): %.1f req/s (%.2fx direct), p50 %s, p99 %s\n"
+    hot_clients hot_per hot_rps (hot_rps /. direct_rps) (Table.fmt_time hot_p50)
+    (Table.fmt_time hot_p99);
+  Printf.printf "  rankings: %d hits; pipelined %d; pipeline(%d): %.1f req/s\n" cache_hits
+    pipelined pipeline_depth pipeline_rps;
+  Printf.printf
+    "replies byte-identical (in-process = served = served again): %b; protocol errors: %d\n"
+    identical total_errors;
+  Printf.printf "telemetry requests %d/%d\n" hot_requests hot_total;
   add_bench_sections
     [
       ( "serve_throughput",
         Printf.sprintf
           "{\n\
           \    \"direct_rank_per_s\": %.1f,\n\
-          \    \"cold\": {\n\
-          \      \"clients\": %d,\n\
-          \      \"requests\": %d,\n\
-          \      \"req_per_s\": %.1f,\n\
-          \      \"latency_p50_s\": %.6f,\n\
-          \      \"latency_p99_s\": %.6f,\n\
-          \      \"rank_p50_s\": %.6f,\n\
-          \      \"rank_p99_s\": %.6f,\n\
-          \      \"tune_p50_s\": %.6f,\n\
-          \      \"tune_p99_s\": %.6f,\n\
-          \      \"factor_vs_direct\": %.2f,\n\
-          \      \"batch_hit_rate\": %.3f,\n\
-          \      \"requests_reconciled\": %b\n\
-          \    },\n\
           \    \"hot\": {\n\
           \      \"clients\": %d,\n\
           \      \"requests\": %d,\n\
@@ -1370,43 +1304,30 @@ let serve_throughput () =
           \      \"latency_p99_s\": %.6f,\n\
           \      \"speedup_vs_direct\": %.2f,\n\
           \      \"cache_hits\": %d,\n\
-          \      \"cache_misses\": %d,\n\
           \      \"requests_reconciled\": %b\n\
           \    },\n\
           \    \"pipeline\": { \"depth\": %d, \"req_per_s\": %.1f },\n\
           \    \"replies_byte_identical\": %b,\n\
           \    \"protocol_errors\": %d\n\
           \  }"
-          direct_rps cold_clients cold_total cold_rps cold_p50 cold_p99
-          (Stats.percentile cold_rank_lat 50.)
-          (Stats.percentile cold_rank_lat 99.)
-          (Stats.percentile cold_tune_lat 50.)
-          (Stats.percentile cold_tune_lat 99.)
-          factor hit_rate cold_reconciled hot_clients hot_total hot_rps hot_p50 hot_p99
-          (hot_rps /. direct_rps) cache_hits cache_misses hot_reconciled pipeline_depth
-          pipeline_rps identical total_errors );
+          direct_rps hot_clients hot_total hot_rps hot_p50 hot_p99 (hot_rps /. direct_rps)
+          cache_hits hot_reconciled pipeline_depth pipeline_rps identical total_errors );
     ];
   let problems = ref [] in
   let flag cond msg = if cond then problems := msg :: !problems in
   flag (total_errors > 0)
     (Printf.sprintf "%d protocol errors under concurrency" total_errors);
-  flag (not cold_reconciled)
-    (Printf.sprintf "cold: telemetry saw %d requests, load generator sent %d" cold_requests
-       cold_total);
   flag (not hot_reconciled)
-    (Printf.sprintf "hot: telemetry saw %d requests, load generator sent %d" hot_requests
+    (Printf.sprintf "telemetry saw %d requests, load generator sent %d" hot_requests
        hot_total);
-  flag (hot_errors > 0) (Printf.sprintf "%d protocol errors in the hot phase" hot_errors);
-  flag (cold_rps *. 25. < direct_rps)
-    (Printf.sprintf "cold throughput gate: %.1f req/s is more than 25x below direct %.1f"
-       cold_rps direct_rps);
+  flag (hot_errors > 0) (Printf.sprintf "%d protocol errors in the load phase" hot_errors);
   flag (hot_rps < direct_rps)
     (Printf.sprintf "hot throughput gate: %.1f req/s below direct %.1f" hot_rps direct_rps);
   flag (hot_p50 > 0.005)
     (Printf.sprintf "hot latency gate: p50 %.2f ms > 5 ms" (hot_p50 *. 1000.));
-  flag (not identical) "cold and hot replies are not byte-identical";
+  flag (not identical) "served replies are not byte-identical to the in-process rank";
   flag (cache_hits < hot_total)
-    (Printf.sprintf "ranking hits %d below hot request count %d" cache_hits hot_total);
+    (Printf.sprintf "ranking hits %d below request count %d" cache_hits hot_total);
   match !problems with
   | [] -> print_endline "OK: serve-throughput gates passed"
   | ps ->
@@ -1648,10 +1569,8 @@ let fleet_throughput () =
   in
   save "default" tuner_a;
   save "next" tuner_b;
-  (* Shards start without warming, so the first request of each key
-     ranks its benchmark; every later request is a slice of that
-     ranking, so the scaling number mostly measures forwarding through
-     the router. *)
+  (* Shards build every ranking at start, so each request is a slice
+     and the scaling number measures forwarding through the router. *)
   let expected tuner inst =
     let benchmark = Instance.name inst in
     let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
@@ -1740,7 +1659,7 @@ let fleet_throughput () =
     match
       Sorl_serve.Server.start
         ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "direct.sock"))
-        ~workers:1 ~warm:false ~conn_timeout_s:30.
+        ~workers:1 ~conn_timeout_s:30.
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok s -> s
@@ -1762,7 +1681,7 @@ let fleet_throughput () =
     let fdir = Filename.concat dir (Printf.sprintf "fleet%d" shards) in
     let fleet =
       match
-        Sorl_serve.Fleet.start ~dir:fdir ~shards ~workers:1 ~warm:false ~conn_timeout_s:30.
+        Sorl_serve.Fleet.start ~dir:fdir ~shards ~workers:1 ~conn_timeout_s:30.
           (Sorl_serve.Server.Store (store, "default"))
       with
       | Ok f -> f
@@ -1916,386 +1835,6 @@ let fleet_throughput () =
       exit 1
     end
 
-(* ---- Near-miss reuse: provisional quality and cold-path latency ---- *)
-
-let neighbor_reuse () =
-  header "Near-miss reuse: provisional quality (tau), cold p50, warm-started search";
-  let m = Sorl_machine.Measure.model machine in
-  let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
-  let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
-  let problems = ref [] in
-  let flag cond msg = if cond then problems := msg :: !problems in
-  (* Pairs the default threshold admits — near-identical encodings:
-     blur size variants, and edge vs game-of-life (the same 3x3
-     pattern, so their encodings coincide exactly).  First member is
-     the cached "neighbor", second the incoming near-miss. *)
-  let reuse_pairs =
-    [
-      ("blur-1024x1024", "blur-1024x768");
-      ("edge-512x512", "game-of-life-512x512");
-      ("edge-1024x1024", "game-of-life-1024x1024");
-    ]
-  in
-  (* Size-variant pairs the threshold must DECLINE: close in embedding
-     space, but their measured ranking transfer is poor. *)
-  let declined_pairs =
-    [
-      ("edge-512x512", "edge-1024x1024");
-      ("wave-128x128x128", "wave-256x256x256");
-      ("tricubic-128x128x128", "tricubic-256x256x256");
-      ("gradient-128x128x128", "gradient-256x256x256");
-      ("laplacian-128x128x128", "laplacian-256x256x256");
-      ("laplacian6-128x128x128", "laplacian6-256x256x256");
-    ]
-  in
-  let dist a b =
-    let s = ref 0. in
-    Array.iteri (fun i x -> s := !s +. (x *. b.(i))) a;
-    1. -. !s
-  in
-  let threshold = Sorl_serve.Server.default_neighbor_threshold in
-  (* ---- provisional quality: does the neighbor's top-10, in the
-     neighbor's order, agree with the true ordering under the incoming
-     instance?  tau over (provisional position, true score). ---- *)
-  let k = 10 in
-  let measure_pair (a_name, b_name) =
-    let ia = Benchmarks.instance_by_name a_name in
-    let ib = Benchmarks.instance_by_name b_name in
-    let d = dist (Sorl.Autotuner.embed tuner ia) (Sorl.Autotuner.embed tuner ib) in
-    let provisional = Sorl.Autotuner.top_k tuner ia ~k in
-    let exact = Sorl.Autotuner.top_k tuner ib ~k in
-    let xs = Array.init k float_of_int in
-    let ys = Array.map (fun t -> Sorl.Autotuner.score tuner ib t) provisional in
-    let tau = Sorl_util.Rank_correlation.kendall_tau xs ys in
-    let overlap =
-      Array.fold_left
-        (fun n t -> if Array.exists (Tuning.equal t) exact then n + 1 else n)
-        0 provisional
-    in
-    (a_name, b_name, d, tau, float_of_int overlap /. float_of_int k)
-  in
-  let quality = List.map measure_pair reuse_pairs in
-  let declined = List.map measure_pair declined_pairs in
-  Printf.printf "%-24s %-24s %9s %6s %8s  %s\n" "neighbor" "incoming" "distance" "tau"
-    "overlap" "reused";
-  let print_row reused (a, b, d, tau, ov) =
-    Printf.printf "%-24s %-24s %9.6f %6.3f %7.0f%%  %b\n" a b d tau (100. *. ov) reused
-  in
-  List.iter (print_row true) quality;
-  List.iter (print_row false) declined;
-  let taus = List.map (fun (_, _, _, t, _) -> t) quality in
-  let mean_tau = List.fold_left ( +. ) 0. taus /. float_of_int (List.length taus) in
-  Printf.printf "mean tau over reused pairs %.3f; threshold %.4f\n" mean_tau threshold;
-  flag (mean_tau < 0.85)
-    (Printf.sprintf "provisional quality gate: mean tau %.3f < 0.85" mean_tau);
-  List.iter
-    (fun (a, b, d, _, _) ->
-      flag (d >= threshold)
-        (Printf.sprintf "calibration: reuse pair %s / %s at %.4f outside threshold %.4f"
-           a b d threshold))
-    quality;
-  List.iter
-    (fun (a, b, d, _, _) ->
-      flag (d < threshold)
-        (Printf.sprintf
-           "calibration: pair %s / %s at %.4f inside threshold %.4f despite poor transfer"
-           a b d threshold))
-    declined;
-  (* cross-kernel control: the closest non-variant pair must sit far
-     beyond the default threshold, or the layer could reuse across
-     kernels *)
-  let cross_dist =
-    dist
-      (Sorl.Autotuner.embed tuner (Benchmarks.instance_by_name "gradient-128x128x128"))
-      (Sorl.Autotuner.embed tuner (Benchmarks.instance_by_name "laplacian-128x128x128"))
-  in
-  Printf.printf "closest cross-kernel distance %.4f\n" cross_dist;
-  flag (cross_dist <= threshold)
-    (Printf.sprintf "calibration: cross-kernel pair inside threshold (%.4f <= %.4f)"
-       cross_dist threshold);
-  (* ---- serving A/B: neighbors on vs off, on servers that rank each
-     benchmark on first request.  Each pair is primed with an exact
-     rank of the neighbor, then the incoming instance is asked with
-     rank!/tune! — provisional on the A server, a full ranking on the
-     B server.  The declined wave
-     pair rides along as a control: its bang requests must come back
-     exact and show up as neighbor misses, not approx replies. ---- *)
-  let control_pairs = [ ("wave-128x128x128", "wave-256x256x256") ] in
-  let all_pairs = reuse_pairs @ control_pairs in
-  let dir = Filename.temp_dir "sorl-neighbor-bench" "" in
-  let store =
-    match Sorl_serve.Model_store.open_dir dir with Ok s -> s | Error m -> failwith m
-  in
-  (match Sorl_serve.Model_store.save store ~name:"default" tuner with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  let start_server name ~neighbors =
-    let address = Sorl_serve.Protocol.Unix_path (Filename.concat dir name) in
-    match
-      (* enough workers that rankings built behind provisional replies
-         don't make the next foreground request queue *)
-      Sorl_serve.Server.start ~address ~workers:4 ~queue_capacity:64 ~warm:false ~neighbors
-        (Sorl_serve.Server.Store (store, "default"))
-    with
-    | Ok s -> s
-    | Error m -> failwith m
-  in
-  let raw_ask address line =
-    match address with
-    | Sorl_serve.Protocol.Unix_path path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-      output_string oc (line ^ "\n");
-      flush oc;
-      let reply = input_line ic in
-      close_out_noerr oc;
-      reply
-    | _ -> assert false
-  in
-  let errors = Atomic.make 0 in
-  let tops = [ 3; 5; 10 ] in
-  (* Runs the pair workload; returns (rank! latencies, tune! latencies,
-     approx replies seen on the wire, stats kvs).  Latencies are
-     collected for reuse pairs only — the control pair costs the same
-     on both servers and would dilute the comparison. *)
-  let drive ?(rounds = 1) address =
-    (* Per pair and bang: an untimed reload, which retires every
-       ranking and the neighbor index, and an untimed exact prime of
-       the neighbor, then the timed bang — so every bang is a first
-       request.  Each lands while the previous bang's ranking build
-       may still be running, which is the honest steady-state
-       condition. *)
-    let rank_lat = ref [] and tune_lat = ref [] in
-    let approx_seen = ref 0 in
-    let stats =
-      match
-        Sorl_serve.Client.with_connection address (fun c ->
-            for _ = 1 to rounds do
-              List.iter
-                (fun ((a_name, b_name), collect) ->
-                  let prime () =
-                    (match Sorl_serve.Client.reload c with
-                    | Ok _ -> ()
-                    | Error _ -> Atomic.incr errors);
-                    match Sorl_serve.Client.rank c ~benchmark:a_name ~top:10 with
-                    | Ok l when List.length l = 10 -> ()
-                    | Ok _ | Error _ -> Atomic.incr errors
-                  in
-                  prime ();
-                  let t0 = Unix.gettimeofday () in
-                  (match Sorl_serve.Client.tune_approx c ~benchmark:b_name with
-                  | Ok (_, approx) -> if approx then incr approx_seen
-                  | Error _ -> Atomic.incr errors);
-                  if collect then tune_lat := (Unix.gettimeofday () -. t0) :: !tune_lat;
-                  List.iter
-                    (fun top ->
-                      prime ();
-                      let t0 = Unix.gettimeofday () in
-                      (match Sorl_serve.Client.rank_approx c ~benchmark:b_name ~top with
-                      | Ok (l, approx) when List.length l = top ->
-                        if approx then incr approx_seen
-                      | Ok _ | Error _ -> Atomic.incr errors);
-                      if collect then
-                        rank_lat := (Unix.gettimeofday () -. t0) :: !rank_lat)
-                    tops)
-                (List.map (fun p -> (p, true)) reuse_pairs
-                @ List.map (fun p -> (p, false)) control_pairs)
-            done;
-            Sorl_serve.Client.stats c)
-      with
-      | Ok kvs -> kvs
-      | Error m ->
-        Printf.printf "WARNING: drive failed: %s\n" m;
-        []
-    in
-    (Array.of_list !rank_lat, Array.of_list !tune_lat, !approx_seen, stats)
-  in
-  let per_pair = List.length tops + 1 in
-  let bang_count = List.length all_pairs * per_pair in
-  let expected_approx = List.length reuse_pairs * per_pair in
-  let expected_misses = List.length control_pairs * per_pair in
-  (* phase 1 — counters and byte identity, one round: every bang
-     request is either provisional, a slice of a resident ranking, or a
-     neighbor miss, and the exact bytes after the build must match the
-     no-neighbor server's. *)
-  let on_server = start_server "on.sock" ~neighbors:512 in
-  let on_addr = Sorl_serve.Server.address on_server in
-  let _, _, on_approx, on_stats = drive on_addr in
-  (* byte identity: the exact reply after the build must equal the
-     plain path's bytes (read after stats so the reconciliation below sees a
-     pure bang load) *)
-  let identity_replies =
-    List.map
-      (fun (_, b_name) -> raw_ask on_addr (Printf.sprintf "sorl1 rank %s 10" b_name))
-      all_pairs
-  in
-  Sorl_serve.Server.stop on_server;
-  Sorl_serve.Server.wait on_server;
-  let off_server = start_server "off.sock" ~neighbors:0 in
-  let off_addr = Sorl_serve.Server.address off_server in
-  let _, _, off_approx, _ = drive off_addr in
-  let off_replies =
-    List.map
-      (fun (_, b_name) -> raw_ask off_addr (Printf.sprintf "sorl1 rank %s 10" b_name))
-      all_pairs
-  in
-  Sorl_serve.Server.stop off_server;
-  Sorl_serve.Server.wait off_server;
-  let sv k = Option.value ~default:0 (List.assoc_opt k on_stats) in
-  let reconciled =
-    sv "approx_replies" + sv "result_cache_hits" + sv "neighbor_misses" = bang_count
-  in
-  let identical = identity_replies = off_replies in
-  Printf.printf
-    "approx replies on %d/%d (expected %d), off %d; neighbor hits %d, misses %d \
-     (expected %d); reconciled %b; replies byte-identical %b\n"
-    on_approx bang_count expected_approx off_approx (sv "neighbor_hits")
-    (sv "neighbor_misses") expected_misses reconciled identical;
-  (* phase 2 — cold-path latency over several rounds: every bang
-     follows a reload, so the A server replies provisionally every
-     round while the B server ranks the benchmark. *)
-  let rounds = 8 in
-  let on2 = start_server "on2.sock" ~neighbors:512 in
-  let on2_addr = Sorl_serve.Server.address on2 in
-  let on_rank, on_tune, on2_approx, _ = drive ~rounds on2_addr in
-  Sorl_serve.Server.stop on2;
-  Sorl_serve.Server.wait on2;
-  let off2 = start_server "off2.sock" ~neighbors:0 in
-  let off2_addr = Sorl_serve.Server.address off2 in
-  let off_rank, off_tune, off2_approx, _ = drive ~rounds off2_addr in
-  Sorl_serve.Server.stop off2;
-  Sorl_serve.Server.wait off2;
-  let p x q = Stats.percentile x q in
-  let on_rank_p50 = p on_rank 50. and off_rank_p50 = p off_rank 50. in
-  let on_tune_p50 = p on_tune 50. and off_tune_p50 = p off_tune 50. in
-  Printf.printf
-    "cold rank!: p50 %s -> %s (%.1fx), p99 %s -> %s | cold tune!: p50 %s -> %s (%.1fx)\n"
-    (Table.fmt_time off_rank_p50) (Table.fmt_time on_rank_p50)
-    (off_rank_p50 /. on_rank_p50) (Table.fmt_time (p off_rank 99.))
-    (Table.fmt_time (p on_rank 99.)) (Table.fmt_time off_tune_p50)
-    (Table.fmt_time on_tune_p50)
-    (off_tune_p50 /. on_tune_p50);
-  flag (on2_approx <> rounds * expected_approx)
-    (Printf.sprintf "latency phase: %d provisional replies, expected %d" on2_approx
-       (rounds * expected_approx));
-  flag (off2_approx > 0)
-    (Printf.sprintf "latency phase: neighbors:0 server sent %d approx replies" off2_approx);
-  (* ---- downstream reuse: the neighbor's winners as pruning
-     incumbents and as search seeds ---- *)
-  let ia = Benchmarks.instance_by_name "gradient-128x128x128" in
-  let ib = Benchmarks.instance_by_name "gradient-256x256x256" in
-  let winners = Sorl.Autotuner.top_k tuner ia ~k:10 in
-  let enc = Features.compile Features.Extended ib in
-  let plain, pstats = Sorl.Autotuner.top_k_pruned tuner enc ~dims:3 ~k:10 in
-  let seeded, sstats =
-    Sorl.Autotuner.top_k_pruned ~incumbents:winners tuner enc ~dims:3 ~k:10
-  in
-  Printf.printf
-    "incumbent pruning: scored %d -> %d (%.0f%% fewer), results identical %b\n"
-    pstats.Sorl.Autotuner.scored sstats.Sorl.Autotuner.scored
-    (100.
-    *. (1.
-       -. (float_of_int sstats.Sorl.Autotuner.scored
-          /. float_of_int (max 1 pstats.Sorl.Autotuner.scored))))
-    (plain = seeded);
-  flag (plain <> seeded) "incumbent-seeded top-k differs from plain top-k";
-  flag (sstats.Sorl.Autotuner.scored > pstats.Sorl.Autotuner.scored)
-    (Printf.sprintf "incumbents increased scored candidates: %d > %d"
-       sstats.Sorl.Autotuner.scored pstats.Sorl.Autotuner.scored);
-  let problem = Sorl.Tuning_problem.problem m ib in
-  let seeds = Array.map (Sorl.Tuning_problem.encode ib) winners in
-  let ga = Sorl_search.Registry.find "ga" in
-  let ga_seeds = [ 17; 18; 19 ] in
-  let mean f =
-    List.fold_left (fun s x -> s +. f x) 0. ga_seeds /. float_of_int (List.length ga_seeds)
-  in
-  let unseeded_best =
-    mean (fun s ->
-        (ga.Sorl_search.Registry.run ~seed:s ~budget:256 problem).Sorl_search.Runner.best_cost)
-  in
-  let seeded_best =
-    mean (fun s ->
-        (ga.Sorl_search.Registry.run ?seeds:(Some seeds) ~seed:s ~budget:256 problem)
-          .Sorl_search.Runner.best_cost)
-  in
-  Printf.printf "ga budget 256 (mean of %d seeds): best %.4g unseeded, %.4g warm-started\n"
-    (List.length ga_seeds) unseeded_best seeded_best;
-  flag (seeded_best > unseeded_best *. 1.001)
-    (Printf.sprintf "warm-started GA worse than unseeded: %.4g > %.4g" seeded_best
-       unseeded_best);
-  (* ---- gates and JSON ---- *)
-  let total_errors = Atomic.get errors in
-  flag (total_errors > 0) (Printf.sprintf "%d protocol errors" total_errors);
-  flag (on_approx <> expected_approx)
-    (Printf.sprintf "%d/%d reuse-pair bang requests answered provisionally" on_approx
-       expected_approx);
-  flag (sv "neighbor_misses" <> expected_misses)
-    (Printf.sprintf "control pair: %d neighbor misses, expected %d"
-       (sv "neighbor_misses") expected_misses);
-  flag (off_approx > 0)
-    (Printf.sprintf "neighbors:0 server sent %d approx replies" off_approx);
-  flag (not reconciled)
-    (Printf.sprintf
-       "approx (%d) + ranking hits (%d) + neighbor misses (%d) do not reconcile with %d \
-        bang requests"
-       (sv "approx_replies") (sv "result_cache_hits") (sv "neighbor_misses") bang_count);
-  flag (not identical) "exact replies after the build differ from the no-neighbor path";
-  flag (on_rank_p50 >= off_rank_p50)
-    (Printf.sprintf "cold rank! p50 gate: %.3f ms with neighbors >= %.3f ms without"
-       (on_rank_p50 *. 1000.) (off_rank_p50 *. 1000.));
-  flag (on_tune_p50 >= off_tune_p50)
-    (Printf.sprintf "cold tune! p50 gate: %.3f ms with neighbors >= %.3f ms without"
-       (on_tune_p50 *. 1000.) (off_tune_p50 *. 1000.));
-  add_bench_sections
-    [
-      ( "neighbor_reuse",
-        Printf.sprintf
-          "{\n\
-          \    \"threshold\": %.4f,\n\
-          \    \"mean_tau\": %.4f,\n\
-          \    \"closest_cross_kernel_distance\": %.6f,\n\
-          \    \"pairs\": [\n%s\n\
-          \    ],\n\
-          \    \"serve\": {\n\
-          \      \"bang_requests\": %d,\n\
-          \      \"approx_replies\": %d,\n\
-          \      \"neighbor_misses\": %d,\n\
-          \      \"rank_p50_s\": { \"neighbors\": %.6f, \"exact\": %.6f },\n\
-          \      \"rank_p99_s\": { \"neighbors\": %.6f, \"exact\": %.6f },\n\
-          \      \"tune_p50_s\": { \"neighbors\": %.6f, \"exact\": %.6f },\n\
-          \      \"counters_reconciled\": %b,\n\
-          \      \"replies_byte_identical\": %b\n\
-          \    },\n\
-          \    \"incumbent_scored\": { \"plain\": %d, \"seeded\": %d },\n\
-          \    \"ga_best_cost\": { \"unseeded\": %.6g, \"warm_started\": %.6g },\n\
-          \    \"protocol_errors\": %d\n\
-          \  }"
-          threshold mean_tau cross_dist
-          (String.concat ",\n"
-             (List.map
-                (fun (reused, (a, b, d, tau, ov)) ->
-                  Printf.sprintf
-                    "      { \"neighbor\": \"%s\", \"incoming\": \"%s\", \"distance\": \
-                     %.6f, \"tau\": %.4f, \"overlap\": %.2f, \"reused\": %b }"
-                    a b d tau ov reused)
-                (List.map (fun q -> (true, q)) quality
-                @ List.map (fun q -> (false, q)) declined)))
-          bang_count on_approx (sv "neighbor_misses") on_rank_p50 off_rank_p50
-          (p on_rank 99.) (p off_rank 99.) on_tune_p50 off_tune_p50 reconciled identical
-          pstats.Sorl.Autotuner.scored sstats.Sorl.Autotuner.scored unseeded_best
-          seeded_best total_errors );
-    ];
-  match !problems with
-  | [] -> print_endline "OK: neighbor-reuse gates passed"
-  | ps ->
-    if Sys.getenv_opt "CI" <> None then
-      List.iter (fun p -> Printf.printf "WARNING: %s\n" p) ps
-    else begin
-      List.iter (fun p -> Printf.eprintf "FAIL: %s\n" p) ps;
-      exit 1
-    end
-
 (* ---- Online learning: observe -> retrain -> canary -> promote ---- *)
 
 let online_learn () =
@@ -2389,7 +1928,7 @@ let online_learn () =
     match
       Sorl_serve.Server.start
         ~address:(Sorl_serve.Protocol.Unix_path (Filename.concat dir "ingest.sock"))
-        ~workers:4 ~queue_capacity:64 ~warm:false
+        ~workers:4 ~queue_capacity:64
         ~obs_log:(Filename.concat dir "ingest.obs")
         (Sorl_serve.Server.Store (store, "default"))
     with
@@ -2512,7 +2051,7 @@ let online_learn () =
   let fleet =
     match
       Sorl_serve.Fleet.start ~dir:(Filename.concat dir "fleet") ~shards:1 ~workers:2
-        ~warm:false ~conn_timeout_s:30.
+        ~conn_timeout_s:30.
         ~obs_dir:(Filename.concat dir "obs") ~canary_fraction:1.
         (Sorl_serve.Server.Store (store, "default"))
     with
@@ -2983,7 +2522,6 @@ let experiments =
     ("serve-throughput", serve_throughput);
     ("cold-rank", cold_rank);
     ("fleet-throughput", fleet_throughput);
-    ("neighbor-reuse", neighbor_reuse);
     ("micro", micro);
     ("telemetry-overhead", telemetry_overhead);
     ("online-learn", online_learn);

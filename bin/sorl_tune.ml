@@ -448,22 +448,6 @@ let serve_cmd =
     let doc = "Worker domains (default: one per core)." in
     Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~docv:"N" ~doc)
   in
-  let no_warm_arg =
-    let doc =
-      "Skip ranking every benchmark at start/reload; each is ranked on its first request."
-    in
-    Arg.(value & flag & info [ "no-warm" ] ~doc)
-  in
-  let neighbors_arg =
-    let doc = "Near-miss reuse index capacity; 0 disables provisional `rank!'/`tune!' replies." in
-    Arg.(value & opt int 512 & info [ "neighbors" ] ~docv:"N" ~doc)
-  in
-  let neighbor_threshold_arg =
-    let doc = "Cosine-distance threshold for near-miss reuse." in
-    Arg.(value
-         & opt float Sorl_serve.Server.default_neighbor_threshold
-         & info [ "neighbor-threshold" ] ~docv:"D" ~doc)
-  in
   let obs_log_arg =
     let doc =
       "Append `observe' requests to the segmented log at $(docv) (created if missing; \
@@ -491,14 +475,13 @@ let serve_cmd =
     let doc = "Fraction of rank/tune traffic shadow-scored while a canary is loaded." in
     Arg.(value & opt float 1. & info [ "canary-fraction" ] ~docv:"F" ~doc)
   in
-  let run listen model_file store name workers queue timeout max_conns no_warm
-      neighbors neighbor_threshold obs_log obs_roll obs_fsync canary_fraction trace
-      trace_out =
+  let run listen model_file store name workers queue timeout max_conns obs_log obs_roll
+      obs_fsync canary_fraction trace trace_out =
     Result.bind (resolve_source ~model_file ~store ~name) @@ fun source ->
     with_trace trace trace_out @@ fun ~tracing:_ () ->
     match
       Sorl_serve.Server.start ~address:listen ?workers ~queue_capacity:queue
-        ~conn_timeout_s:timeout ~max_connections:max_conns ~warm:(not no_warm) ~neighbors ~neighbor_threshold ?obs_log ?obs_roll
+        ~conn_timeout_s:timeout ~max_connections:max_conns ?obs_log ?obs_roll
         ?obs_fsync:(if obs_fsync then Some true else None)
         ~canary_fraction source
     with
@@ -516,8 +499,7 @@ let serve_cmd =
     Term.(
       term_result
         (const run $ listen_arg $ model_file_arg $ store_arg $ name_arg $ workers_arg
-        $ queue_arg $ timeout_s_arg $ max_conns_arg $ no_warm_arg
-        $ neighbors_arg $ neighbor_threshold_arg $ obs_log_arg $ obs_roll_arg
+        $ queue_arg $ timeout_s_arg $ max_conns_arg $ obs_log_arg $ obs_roll_arg
         $ obs_fsync_arg $ canary_fraction_arg $ trace_arg $ trace_out_arg))
 
 let fleet_cmd =
@@ -617,7 +599,7 @@ let query_cmd =
   let words_arg =
     let doc =
       "Query: `rank BENCHMARK', `tune BENCHMARK', `rank! BENCHMARK' / `tune! BENCHMARK' \
-       (accept a provisional reply reused from a similar cached instance), `observe \
+       (older clients' spelling, answered exactly like rank/tune), `observe \
        BENCHMARK TUNING COST', `observe-batch BENCHMARK N [SEED]' (stream N synthetic \
        cost-model measurements), `info', `stats', `reload [NAME]', `canary NAME', \
        `promote' or `shutdown'."
@@ -629,34 +611,29 @@ let query_cmd =
   in
   let run connect wait top words =
     let open Sorl_serve in
+    let failed = function
+      | Ok (Protocol.Error { code; message }) ->
+        Error (Protocol.error_code_to_string code ^ ": " ^ message)
+      | Ok r -> Error ("unexpected reply: " ^ Protocol.encode_response r)
+      | Error _ as e -> e
+    in
     let result =
       Client.with_connection ~retry_for_s:wait connect @@ fun c ->
       match words with
-      | [ "rank"; benchmark ] ->
-        Result.map
-          (fun tunings ->
-            List.iteri
-              (fun i t -> Printf.printf "%2d  %s\n" (i + 1) (Tuning.to_string t))
-              tunings)
-          (Client.rank c ~benchmark ~top)
-      | [ "tune"; benchmark ] ->
-        Result.map
-          (fun t -> Printf.printf "%s\n" (Tuning.to_string t))
-          (Client.tune c ~benchmark)
-      | [ "rank!"; benchmark ] ->
-        Result.map
-          (fun (tunings, approx) ->
-            if approx then print_endline "(provisional — reused from a similar instance)";
-            List.iteri
-              (fun i t -> Printf.printf "%2d  %s\n" (i + 1) (Tuning.to_string t))
-              tunings)
-          (Client.rank_approx c ~benchmark ~top)
-      | [ "tune!"; benchmark ] ->
-        Result.map
-          (fun (t, approx) ->
-            if approx then print_endline "(provisional — reused from a similar instance)";
-            Printf.printf "%s\n" (Tuning.to_string t))
-          (Client.tune_approx c ~benchmark)
+      | [ (("rank" | "rank!") as verb); benchmark ] -> (
+        (* [rank!] goes out on the wire as such: the server answers it
+           exactly like [rank]. *)
+        match Client.request c (Protocol.Rank { benchmark; top; approx_ok = verb = "rank!" }) with
+        | Ok (Protocol.Ranked { tunings; _ }) ->
+          List.iteri (fun i t -> Printf.printf "%2d  %s\n" (i + 1) (Tuning.to_string t)) tunings;
+          Ok ()
+        | other -> failed other)
+      | [ (("tune" | "tune!") as verb); benchmark ] -> (
+        match Client.request c (Protocol.Tune { benchmark; approx_ok = verb = "tune!" }) with
+        | Ok (Protocol.Tuned { tuning; _ }) ->
+          Printf.printf "%s\n" (Tuning.to_string tuning);
+          Ok ()
+        | other -> failed other)
       | [ "info" ] -> Result.map print_kvs (Client.info c)
       | [ "stats" ] ->
         Result.map

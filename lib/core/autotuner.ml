@@ -35,8 +35,6 @@ let weights t = Sorl_svmrank.Model.weights t.model
 let score t inst tuning =
   Sorl_svmrank.Model.score t.model (Features.encode t.mode inst tuning)
 
-let embed t inst = Features.embedding t.mode inst
-
 let candidates_counter = Sorl_util.Telemetry.counter "rank.candidates"
 let encode_hist = Sorl_util.Telemetry.histogram "rank.encode_s"
 let score_hist = Sorl_util.Telemetry.histogram "rank.score_s"
@@ -150,24 +148,7 @@ let scored_cands_counter = Sorl_util.Telemetry.counter "rank.scored_candidates"
    of [rank t inst (Tuning.predefined_set ~dims)].  Bounds are sound
    by construction ({!Features.bound_lower}); a loose bound only means
    less pruning, never a different answer. *)
-(* An incumbent set of >= k grid members gives a sound initial pruning
-   threshold before the heap has seen anything: if b is the k-th best
-   incumbent score, a cube whose lower bound exceeds b strictly cannot
-   hold any of the true top k (every candidate in it scores > b, while
-   at least k grid candidates score <= b).  The incumbents only arm
-   the threshold — they are never pushed into the heap, so the result
-   is the same array the incumbent-free scan produces, just with more
-   cubes skipped.  Off-grid incumbents are filtered out: the argument
-   above needs them to be members of the predefined set. *)
-let on_grid a (tn : Tuning.t) =
-  let has ax v = Array.exists (fun x -> x = v) ax in
-  has a.Tuning.ax_bx tn.Tuning.bx
-  && has a.Tuning.ax_by tn.Tuning.by
-  && has a.Tuning.ax_bz tn.Tuning.bz
-  && has a.Tuning.ax_u tn.Tuning.u
-  && has a.Tuning.ax_c tn.Tuning.c
-
-let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
+let top_k_pruned ?scratch:s t enc ~dims ~k =
   if Features.compiled_mode enc <> t.mode then
     invalid_arg "Autotuner.top_k_pruned: encoder mode does not match the tuner";
   if k < 0 then invalid_arg "Autotuner.top_k_pruned: negative k";
@@ -217,33 +198,14 @@ let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
             else compare (x : int) y)
           order;
         let score = Sorl_svmrank.Model.range_scorer t.model in
-        let inc_bound =
-          match incumbents with
-          | None -> None
-          | Some incs ->
-            let valid = Array.of_seq (Seq.filter (on_grid a) (Array.to_seq incs)) in
-            if Array.length valid < k then None
-            else begin
-              let ss =
-                Array.map
-                  (fun tn ->
-                    let e = Features.encode_into enc tn s.sc_idx s.sc_v in
-                    score s.sc_idx s.sc_v 0 e)
-                  valid
-              in
-              Array.sort compare ss;
-              Some ss.(k - 1)
-            end
-        in
         let scored = ref 0 and cubes_pruned = ref 0 in
         let ci = ref 0 in
         let stop = ref false in
         while (not !stop) && !ci < ncubes do
           let cube = order.(!ci) in
           if
-            (Sorl_util.Topk.full s.sc_top
-            && bounds.(cube) > Sorl_util.Topk.worst_score s.sc_top)
-            || (match inc_bound with Some b -> bounds.(cube) > b | None -> false)
+            Sorl_util.Topk.full s.sc_top
+            && bounds.(cube) > Sorl_util.Topk.worst_score s.sc_top
           then begin
             (* Strict >: a cube whose bound ties the k-th best score
                could still hold an equal-score candidate with a smaller
@@ -308,16 +270,15 @@ let top_k_pruned ?scratch:s ?incumbents t enc ~dims ~k =
           } )
       end)
 
-let top_k ?scratch ?incumbents t inst ~k =
+let top_k ?scratch t inst ~k =
   fst
-    (top_k_pruned ?scratch ?incumbents t
+    (top_k_pruned ?scratch t
        (Features.compile t.mode inst)
        ~dims:(Kernel.dims (Instance.kernel inst))
        ~k)
 
-let tune ?incumbent t inst =
-  let incumbents = Option.map (fun tn -> [| tn |]) incumbent in
-  match top_k ?incumbents t inst ~k:1 with
+let tune t inst =
+  match top_k t inst ~k:1 with
   | [| tn |] -> tn
   | _ -> invalid_arg "Autotuner.tune: empty predefined set"
 

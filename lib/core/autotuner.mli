@@ -47,12 +47,6 @@ val weights : t -> Sorl_util.Vec.t
 val score : t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t -> float
 (** Predicted-rank score; lower means predicted faster. *)
 
-val embed : t -> Sorl_stencil.Instance.t -> float array
-(** {!Sorl_stencil.Features.embedding} under this tuner's feature mode:
-    a dense L2-normalized instance vector whose cosine distance is the
-    similarity measure of the serving layer's near-miss reuse
-    ({!Sorl_util.Nn_index}).  Deterministic and pool-size independent. *)
-
 val rank :
   t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t array ->
   Sorl_stencil.Tuning.t array
@@ -69,9 +63,8 @@ val rank_order :
     encoder: element [i] is the index into [candidates] of the [i]-th
     best, so [Array.map (fun i -> candidates.(i))] of it is
     bit-identical to {!rank} on that instance.  The entry point for
-    callers that rank the same instance repeatedly and cache encoders
-    (e.g. the serving subsystem's batcher), or that keep rankings as
-    indices into a fixed set.  The encoder must have been compiled from
+    callers that keep rankings as indices into a fixed set (the
+    server's resident rankings).  The encoder must have been compiled from
     this tuner's feature mode (checked, [Invalid_argument]) for the
     instance being ranked (not checkable — the caller's cache key must
     pin it). *)
@@ -112,7 +105,6 @@ type prune_stats = {
 
 val top_k_pruned :
   ?scratch:scratch ->
-  ?incumbents:Sorl_stencil.Tuning.t array ->
   t ->
   Sorl_stencil.Features.compiled ->
   dims:int ->
@@ -126,21 +118,10 @@ val top_k_pruned :
     must be compiled from this tuner's mode (checked) for the instance
     being ranked (pinned by the caller's cache key, as with
     {!rank_order}).  Raises [Invalid_argument] on mode mismatch or
-    negative [k].
-
-    [incumbents] are warm-start candidates (e.g. a similar instance's
-    known winners) used {e only} to tighten the initial pruning bound:
-    entries not on the predefined grid are ignored, and when at least
-    [k] on-grid incumbents remain, their k-th smallest score becomes a
-    starting bound so whole subcubes can be skipped before the
-    selection heap fills.  Because every pruned cube's lower bound
-    strictly exceeds the score of some k on-grid candidates, the result
-    (tunings {e and} order) is identical with or without incumbents —
-    only [prune_stats] changes. *)
+    negative [k]. *)
 
 val top_k :
   ?scratch:scratch ->
-  ?incumbents:Sorl_stencil.Tuning.t array ->
   t ->
   Sorl_stencil.Instance.t ->
   k:int ->
@@ -149,16 +130,13 @@ val top_k :
     own dimensionality; just the tunings. *)
 
 val tune :
-  ?incumbent:Sorl_stencil.Tuning.t ->
   t ->
   Sorl_stencil.Instance.t ->
   Sorl_stencil.Tuning.t
 (** {!best} over the paper's pre-defined configuration set for the
     instance's dimensionality (1600 or 8640 configurations, §VI-A) —
     computed as {!top_k} with [k = 1], so the grid is pruned, not
-    enumerated.  [incumbent] (e.g. a neighbor instance's best
-    configuration) seeds the pruning bound as in {!top_k_pruned};
-    the answer never depends on it. *)
+    enumerated. *)
 
 val save : t -> string -> unit
 (** Persist model weights + feature mode as a version-headed text file

@@ -16,12 +16,11 @@ let decode problem bounds x =
          int_of_float (Float.round w))
        x)
 
-let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
+let run ?(seed = 0) ?(params = default_params) ?budget problem =
   if params.population < 4 then invalid_arg "Differential_evolution: population must be >= 4";
   if params.f <= 0. then invalid_arg "Differential_evolution: f must be positive";
   if params.cr < 0. || params.cr > 1. then invalid_arg "Differential_evolution: cr outside [0,1]";
   let rng = Sorl_util.Rng.create seed in
-  let seeds = Seeding.usable problem seeds in
   let bounds = Problem.bounds problem in
   let n = Array.length bounds in
   Runner.run_with ?budget problem (fun r ->
@@ -31,9 +30,6 @@ let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
       let xs = Array.make params.population [||] in
       for i = 0 to params.population - 1 do
         xs.(i) <- encode bounds (Problem.random_point problem rng)
-      done;
-      for i = 0 to min (Array.length seeds) params.population - 1 do
-        xs.(i) <- encode bounds seeds.(i)
       done;
       let costs = Runner.eval_batch r (Array.map (decode problem bounds) xs) in
       while true do

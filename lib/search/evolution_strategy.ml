@@ -24,12 +24,11 @@ let initial_sigma bounds =
       else Float.max 0.5 (float_of_int (hi - lo) /. 8.))
     bounds
 
-let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
+let run ?(seed = 0) ?(params = default_params) ?budget problem =
   if params.mu < 1 || params.lambda < 1 then
     invalid_arg "Evolution_strategy: mu and lambda must be >= 1";
   if params.tau <= 0. then invalid_arg "Evolution_strategy: tau must be positive";
   let rng = Sorl_util.Rng.create seed in
-  let seeds = Seeding.usable problem seeds in
   let bounds = Problem.bounds problem in
   let n = Array.length bounds in
   Runner.run_with ?budget problem (fun r ->
@@ -45,12 +44,6 @@ let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
       let init = Array.make params.mu ([||], [||]) in
       for i = 0 to params.mu - 1 do
         init.(i) <- (encode bounds (Problem.random_point problem rng), initial_sigma bounds)
-      done;
-      (* Seeds replace leading random parents, re-encoded into the
-         search's (log-)space; the random stream above is consumed
-         either way, keeping runs per [seed] comparable. *)
-      for i = 0 to min (Array.length seeds) params.mu - 1 do
-        init.(i) <- (encode bounds seeds.(i), initial_sigma bounds)
       done;
       let pop = ref (evaluate_all init) in
       Array.sort (fun a b -> compare a.cost b.cost) !pop;

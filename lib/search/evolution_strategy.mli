@@ -14,8 +14,4 @@ type params = {
 val default_params : params
 
 val run :
-  ?seed:int -> ?params:params -> ?seeds:int array array -> ?budget:int ->
-  Problem.t -> Runner.outcome
-(** [seeds] warm-starts the parent population: sanitized points are
-    re-encoded into the search's log-space relaxation and replace the
-    leading random parents (with fresh initial step sizes). *)
+  ?seed:int -> ?params:params -> ?budget:int -> Problem.t -> Runner.outcome

@@ -23,10 +23,9 @@ let check p =
    the calling domain; evaluation itself consumes no randomness.  Each
    generation can therefore be evaluated as one batch over the pool
    without perturbing the random stream. *)
-let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
+let run ?(seed = 0) ?(params = default_params) ?budget problem =
   check params;
   let rng = Sorl_util.Rng.create seed in
-  let seeds = Seeding.usable problem seeds in
   Runner.run_with ?budget problem (fun r ->
       let evaluate_all genomes =
         let costs = Runner.eval_batch r genomes in
@@ -36,7 +35,6 @@ let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
       for i = 0 to params.population - 1 do
         init.(i) <- Problem.random_point problem rng
       done;
-      Seeding.overlay seeds init;
       let pop = ref (evaluate_all init) in
       Ga_common.sort_by_cost !pop;
       while true do

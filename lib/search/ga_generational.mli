@@ -16,9 +16,4 @@ type params = {
 val default_params : params
 
 val run :
-  ?seed:int -> ?params:params -> ?seeds:int array array -> ?budget:int ->
-  Problem.t -> Runner.outcome
-(** [seeds] warm-starts the initial population: sanitized points
-    ({!Seeding.usable}) replace the leading random members.  The random
-    stream per [seed] is unchanged, so seeded and unseeded runs differ
-    only in those starting points. *)
+  ?seed:int -> ?params:params -> ?budget:int -> Problem.t -> Runner.outcome

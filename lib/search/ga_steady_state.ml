@@ -7,14 +7,12 @@ type params = {
 
 let default_params = { population = 32; tournament = 3; crossover_rate = 0.9; mutation_rate = 0.25 }
 
-let run ?(seed = 0) ?(params = default_params) ?seeds ?budget problem =
+let run ?(seed = 0) ?(params = default_params) ?budget problem =
   if params.population < 2 then invalid_arg "Ga_steady_state: population must be >= 2";
   let rng = Sorl_util.Rng.create seed in
-  let seeds = Seeding.usable problem seeds in
   Runner.run_with ?budget problem (fun r ->
       let evaluate g = { Ga_common.genome = g; cost = Runner.eval r g } in
       let init = Array.init params.population (fun _ -> Problem.random_point problem rng) in
-      Seeding.overlay seeds init;
       let pop = Array.map evaluate init in
       while true do
         let a = Ga_common.tournament rng pop ~k:params.tournament in

@@ -14,7 +14,4 @@ type params = {
 val default_params : params
 
 val run :
-  ?seed:int -> ?params:params -> ?seeds:int array array -> ?budget:int ->
-  Problem.t -> Runner.outcome
-(** [seeds] warm-starts the initial population as in
-    {!Ga_generational.run}. *)
+  ?seed:int -> ?params:params -> ?budget:int -> Problem.t -> Runner.outcome

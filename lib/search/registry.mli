@@ -4,10 +4,7 @@
 type algorithm = {
   name : string;
   descr : string;
-  run : ?seeds:int array array -> seed:int -> budget:int -> Problem.t -> Runner.outcome;
-      (** [seeds] warm-starts the initial population of the
-          population-based searches (ga, sga, es, de — see
-          {!Seeding}); the point-based searches ignore it. *)
+  run : seed:int -> budget:int -> Problem.t -> Runner.outcome;
 }
 
 val all : algorithm list

@@ -7,7 +7,6 @@ type cached_encoder = { enc : Features.compiled; mutable last_used : int }
 type t = {
   m : Mutex.t;
   done_ : Condition.t;
-  ranks : (string, int array slot) Hashtbl.t;  (** key: "<generation>/<instance>" *)
   tops : (string, Tuning.t array slot) Hashtbl.t;  (** key: "<generation>/<instance>#<k>" *)
   encoders : (string, cached_encoder) Hashtbl.t;  (** key: "<mode>/<instance>" *)
   encoder_cache : int;
@@ -33,7 +32,6 @@ let create ?(encoder_cache = 32) () =
   {
     m = Mutex.create ();
     done_ = Condition.create ();
-    ranks = Hashtbl.create 16;
     tops = Hashtbl.create 16;
     encoders = Hashtbl.create 16;
     encoder_cache;
@@ -90,12 +88,12 @@ let take_scratch t =
     t.arena_misses <- t.arena_misses + 1;
     Sorl.Autotuner.scratch ()
 
-(* Leader/follower coalescing shared by [rank] and [rank_top]: the
-   first arrival under [key] computes (outside the lock), everyone
-   else waits on the condition variable and shares the result. *)
-let coalesce t in_flight ~key ~compute =
+(* Leader/follower coalescing: the first arrival under [key] computes
+   (outside the lock), everyone else waits on the condition variable
+   and shares the result. *)
+let coalesce t ~key ~compute =
   Mutex.lock t.m;
-  match Hashtbl.find_opt in_flight key with
+  match Hashtbl.find_opt t.tops key with
   | Some slot ->
     t.followers <- t.followers + 1;
     let rec wait () =
@@ -112,7 +110,7 @@ let coalesce t in_flight ~key ~compute =
   | None ->
     t.leaders <- t.leaders + 1;
     let slot = { outcome = None } in
-    Hashtbl.replace in_flight key slot;
+    Hashtbl.replace t.tops key slot;
     Mutex.unlock t.m;
     (* [compute] re-takes the lock for its own bookkeeping (encoder
        cache, scratch arena), so it must run unlocked; it returns
@@ -121,38 +119,25 @@ let coalesce t in_flight ~key ~compute =
     let outcome = (try compute () with e -> Error e) in
     Mutex.lock t.m;
     slot.outcome <- Some outcome;
-    Hashtbl.remove in_flight key;
+    Hashtbl.remove t.tops key;
     Condition.broadcast t.done_;
     Mutex.unlock t.m;
     (match outcome with Ok r -> (r, false) | Error e -> raise e)
 
-let rank t ~generation ~tuner ~inst candidates =
-  let key = string_of_int generation ^ "/" ^ Instance.name inst in
-  coalesce t t.ranks ~key ~compute:(fun () ->
-      Mutex.lock t.m;
-      let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
-      Mutex.unlock t.m;
-      match Sorl.Autotuner.rank_order tuner enc candidates with
-      | r -> Ok r
-      | exception e -> Error e)
-
-let rank_top t ?incumbents ~generation ~tuner ~inst ~k () =
+let rank_top t ~generation ~tuner ~inst ~k () =
   (* [k] is part of the key: a top-1 and a top-10 for the same
      instance are different computations (prefixes of the same rank,
      but the smaller one prunes more), so they never coalesce onto
-     each other.  [incumbents] is {e not} part of the key: the result
-     is identical with or without it (it only tightens the pruning
-     bound), so coalescing across seeded and unseeded callers is
-     safe. *)
+     each other. *)
   let key = Printf.sprintf "%d/%s#%d" generation (Instance.name inst) k in
-  coalesce t t.tops ~key ~compute:(fun () ->
+  coalesce t ~key ~compute:(fun () ->
       Mutex.lock t.m;
       let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
       let scratch = take_scratch t in
       Mutex.unlock t.m;
       let dims = Kernel.dims (Instance.kernel inst) in
       let outcome =
-        match Sorl.Autotuner.top_k_pruned ~scratch ?incumbents tuner enc ~dims ~k with
+        match Sorl.Autotuner.top_k_pruned ~scratch tuner enc ~dims ~k with
         | r -> Ok r
         | exception e -> Error e
       in

@@ -177,20 +177,6 @@ let tune t ~benchmark =
   | Ok (Protocol.Error { code; message }) -> server_error code message
   | Ok r -> unexpected (Protocol.encode_response r)
 
-let rank_approx t ~benchmark ~top =
-  match request t (Protocol.Rank { benchmark; top; approx_ok = true }) with
-  | Error _ as e -> e
-  | Ok (Protocol.Ranked { tunings; approx; _ }) -> Ok (tunings, approx)
-  | Ok (Protocol.Error { code; message }) -> server_error code message
-  | Ok r -> unexpected (Protocol.encode_response r)
-
-let tune_approx t ~benchmark =
-  match request t (Protocol.Tune { benchmark; approx_ok = true }) with
-  | Error _ as e -> e
-  | Ok (Protocol.Tuned { tuning; approx; _ }) -> Ok (tuning, approx)
-  | Ok (Protocol.Error { code; message }) -> server_error code message
-  | Ok r -> unexpected (Protocol.encode_response r)
-
 let info t =
   match request t Protocol.Info with
   | Error _ as e -> e

@@ -81,17 +81,6 @@ val rank :
 
 val tune : t -> benchmark:string -> (Sorl_stencil.Tuning.t, string) result
 
-val rank_approx :
-  t -> benchmark:string -> top:int -> (Sorl_stencil.Tuning.t list * bool, string) result
-(** [rank!]: permit a provisional answer reused from a similar cached
-    instance.  The boolean is the reply's [approx] flag — [true] means
-    the tunings came from a neighbor and the exact result is being
-    computed behind the reply (re-ask to get it). *)
-
-val tune_approx :
-  t -> benchmark:string -> (Sorl_stencil.Tuning.t * bool, string) result
-(** [tune!]; boolean as in {!rank_approx}. *)
-
 val info : t -> ((string * string) list, string) result
 val stats : t -> ((string * int) list, string) result
 val reload : ?model:string -> t -> (string * int, string) result

@@ -31,8 +31,8 @@ let now () = Unix.gettimeofday ()
 let field k v = k ^ "=" ^ v
 let sep = '\x1f'
 
-let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?warm
-    ?obs_log ?obs_roll ?obs_fsync ?canary_fraction source =
+let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?obs_log
+    ?obs_roll ?obs_fsync ?canary_fraction source =
   let opt k to_s v = Option.map (fun v -> field k (to_s v)) v in
   let fields =
     [
@@ -50,7 +50,6 @@ let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connectio
       opt "queue" string_of_int queue_capacity;
       opt "timeout" string_of_float conn_timeout_s;
       opt "maxconns" string_of_int max_connections;
-      opt "warm" string_of_bool warm;
       opt "obs" Fun.id obs_log;
       opt "obsroll" string_of_int obs_roll;
       opt "obsfsync" string_of_bool obs_fsync;
@@ -106,7 +105,6 @@ let maybe_shard_main () =
          ?queue_capacity:(opt_of "queue" int_of_string_opt "queue")
          ?conn_timeout_s:(opt_of "timeout" float_of_string_opt "timeout")
          ?max_connections:(opt_of "maxconns" int_of_string_opt "maxconns")
-         ?warm:(opt_of "warm" bool_of_string_opt "warm")
          ?obs_log:(get "obs")
          ?obs_roll:(opt_of "obsroll" int_of_string_opt "obsroll")
          ?obs_fsync:(opt_of "obsfsync" bool_of_string_opt "obsfsync")
@@ -203,7 +201,7 @@ let wait_ready ~deadline sh =
   go ()
 
 let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?max_connections
-    ?warm ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
+    ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
     ?(ready_timeout_s = 10.) source =
   if n < 1 then Error "Fleet.start: shards must be >= 1"
   else begin
@@ -217,8 +215,7 @@ let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?max_con
           obs_dir
       in
       let spec =
-        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?warm
-          ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
+        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
           source
       in
       { address; pid = spawn_shard spec; reaped = false }

@@ -44,7 +44,6 @@ val start :
   ?queue_capacity:int ->
   ?conn_timeout_s:float ->
   ?max_connections:int ->
-  ?warm:bool ->
   ?obs_dir:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->

@@ -235,7 +235,7 @@ let rec collect f = function
 
 (* Reply verbs may carry one-character flag suffixes after the
    alphanumeric base verb — currently ['~'] marks an approximate
-   (provisional) rank/tune reply.  Lenient parsing skips flag
+   rank/tune reply, which this server never sends.  Lenient parsing skips flag
    characters it does not know, so a server can grow new flags without
    breaking deployed clients; [strict] turns an unknown flag into a
    protocol error.  An unknown {e base} verb is an error in both

@@ -39,21 +39,16 @@
     can branch on the code — [busy] means backpressure (retry later),
     [bad-request] means the frame itself was malformed.
 
-    {2 Approximate replies}
+    {2 Approximate-reply flags}
 
-    A [rank!]/[tune!] request ([approx_ok]) tells the server the client
-    would rather have a fast {e provisional} answer than wait for an
-    exact one: when the benchmark's ranking is not resident the server
-    may answer from the nearest already-served similar instance and
-    rank the benchmark in the background.  Such a reply carries the
-    [~] verb flag ([rank~]/[tune~], [approx = true]); a later request
-    for that benchmark gets the exact (unflagged) answer.  Requests without [!]
-    and their replies are byte-identical to protocol version 1 before
-    the flag existed, so the extension is invisible to old clients.
-    Reply-verb flags are single non-alphanumeric characters after the
-    base verb; lenient parsers skip flags they do not know ([strict]
-    makes them errors), while unknown {e base} verbs are always
-    errors.
+    A [rank!]/[tune!] request ([approx_ok]) is accepted and answered
+    byte-for-byte like the plain verb.  The [~] reply flag
+    ([rank~]/[tune~], [approx = true]: a reply reused from a similar
+    instance) is still parsed, but this server never sends it.  Both
+    stay in the grammar so older clients keep working.  Reply-verb
+    flags are single non-alphanumeric characters after the base verb;
+    lenient parsers skip flags they do not know ([strict] makes them
+    errors), while unknown {e base} verbs are always errors.
 
     {2 Pipelining}
 
@@ -90,11 +85,8 @@
     [busy_rejections], [reloads], [generation], [queue_depth]),
     pipelining ([pipelined] — requests that arrived as part of a
     multi-request batch), the resident rankings ([result_cache_hits]
-    — replies sliced from one, [result_cache_misses] — requests that
-    found theirs not resident, [result_cache_entries] — rankings
-    resident in the current generation) and the coalescing batcher
-    ([rank_leaders], [rank_followers], [encoder_hits],
-    [encoder_misses]), and online learning ([observations] — records
+    — replies sliced from one, [result_cache_entries] — rankings
+    resident in the current generation), and online learning ([observations] — records
     appended by this process, [obs_log_records] — complete records in
     the log including recovered ones, [canary_active],
     [canary_shadowed], [canary_agree], [canary_disagree],
@@ -125,8 +117,7 @@ type request =
   | Rank of { benchmark : string; top : int; approx_ok : bool }
       (** Rank the pre-defined configuration set of a named benchmark
           instance; reply with the best [top] tunings.  [approx_ok]
-          ([rank!] on the wire) permits a provisional reply from a
-          similar instance's cached result. *)
+          is [rank!] on the wire, answered exactly like [rank]. *)
   | Tune of { benchmark : string; approx_ok : bool }  (** Top-1 shorthand. *)
   | Observe of { benchmark : string; tuning : Sorl_stencil.Tuning.t; cost : float }
       (** Stream one measured observation into the server's log.
@@ -160,7 +151,7 @@ type response =
       benchmark : string;
       total : int;
       tunings : Sorl_stencil.Tuning.t list;
-      approx : bool;  (** provisional, served from a similar instance *)
+      approx : bool;  (** the [~] flag; never set by this server *)
     }
   | Tuned of { benchmark : string; tuning : Sorl_stencil.Tuning.t; approx : bool }
   | Observed of { total : int }

@@ -455,6 +455,7 @@ let start ?(address = Protocol.Unix_path "sorl-router.sock") ?(workers = 4)
     ?(queue_capacity = 64) ?(conn_timeout_s = 10.) ?(connect_retry_s = 2.)
     ?(max_connections = 512) ?replicas shard_addresses =
   if workers < 1 then Error "Router.start: workers must be >= 1"
+  else if queue_capacity < 1 then Error "Router.start: queue_capacity must be >= 1"
   else if shard_addresses = [] then Error "Router.start: no shard addresses"
   else
     match Server.listener address with

@@ -76,7 +76,8 @@ val start :
     {!Client.connect_result}'s exponential backoff inside it), 512
     connections, 128 ring replicas per shard.  Shard connections are
     opened lazily on first use, so a still-starting shard delays its
-    first request, not router startup. *)
+    first request, not router startup.  A [workers] or
+    [queue_capacity] below 1 is an [Error] before anything is bound. *)
 
 val address : t -> Protocol.address
 val requests_routed : t -> int

@@ -17,38 +17,15 @@ type ranking = { grid : grid; order : Bytes.t }
 (* The served model.  Swapped atomically on reload, so a request holds
    one coherent snapshot for its whole lifetime: a reload mid-request
    can never mix model A's weights with model B's generation.  It
-   carries its own rankings, one slot per registered benchmark (by
-   position in [instances]), so a retired generation's rankings are
-   freed with it and no reply can outlive the model that produced it. *)
+   carries its own rankings, all built before it goes live, one per
+   registered benchmark (by position in [instances]), so a retired
+   generation's rankings are freed with it and no reply can outlive the
+   model that produced it. *)
 type loaded = {
   tuner : Sorl.Autotuner.t;
   model_name : string;
   generation : int;
-  rankings : ranking option Atomic.t array;
-  build_m : Mutex.t;  (** guards [building] *)
-  built : Condition.t;  (** signalled when a build ends *)
-  building : bool array;  (** a build of that slot is running *)
-}
-
-(* Near-miss reuse: an exact NN index over instance embeddings, holding
-   the exact top tunings already computed for each served instance
-   under the current generation.  A [rank!]/[tune!] request whose
-   ranking is not resident can be answered {e provisionally} from the
-   nearest indexed instance within [nn_threshold] (cosine distance)
-   while its ranking is built after the reply is written.  Invalidation
-   is free: the index is pinned to a generation and dropped wholesale
-   the first time a newer snapshot touches it. *)
-type neighbors = {
-  nn_threshold : float;
-  nn_capacity : int;
-  nn_m : Mutex.t;  (** guards [nn_generation], [nn_index], [embeds] *)
-  mutable nn_generation : int;
-  mutable nn_index : Tuning.t array Sorl_util.Nn_index.t;
-  embeds : (string, float array) Hashtbl.t;
-      (** benchmark -> embedding memo, current generation only *)
-  nn_hits : int Atomic.t;
-  nn_misses : int Atomic.t;
-  approx_replies : int Atomic.t;
+  rankings : ranking array;
 }
 
 (* A candidate generation under canary: loaded from the store but
@@ -83,13 +60,9 @@ type t = {
   canary_bm_m : Mutex.t;  (** guards [canary_bm] *)
   canary_bm : (string, int ref * int ref) Hashtbl.t;
       (** benchmark -> (agree, disagree) over the server's lifetime *)
-  batcher : Batcher.t;
   grid2 : grid;
   grid3 : grid;
   hits : int Atomic.t;  (** rank/tune replies sliced from a resident ranking *)
-  misses : int Atomic.t;  (** rank/tune requests whose ranking was not resident *)
-  neighbors : neighbors option;  (** near-miss reuse, [None] = disabled *)
-  warm : bool;  (** build every ranking before a snapshot goes live *)
   workers : int;
   conn_timeout_s : float;
   listen_fd : Unix.file_descr;
@@ -117,9 +90,6 @@ let reloads_counter = Sorl_util.Telemetry.counter "serve.reloads"
 let pipelined_counter = Sorl_util.Telemetry.counter "serve.pipelined"
 let queue_depth_hist = Sorl_util.Telemetry.histogram "serve.queue_depth"
 let latency_hist = Sorl_util.Telemetry.histogram "serve.request_s"
-let neighbor_hits_counter = Sorl_util.Telemetry.counter "serve.neighbor_hits"
-let neighbor_misses_counter = Sorl_util.Telemetry.counter "serve.neighbor_misses"
-let approx_counter = Sorl_util.Telemetry.counter "serve.approx_replies"
 let observations_counter = Sorl_util.Telemetry.counter "serve.observations"
 let canary_shadowed_counter = Sorl_util.Telemetry.counter "serve.canary_shadowed"
 let canary_agree_counter = Sorl_util.Telemetry.counter "serve.canary_agree"
@@ -200,58 +170,6 @@ let listener = make_listener
 
 let err code message = Protocol.Error { code; message }
 
-(* ---- near-miss reuse helpers ---- *)
-
-(* Exact tunings stored per indexed instance — enough for a provisional
-   [tune] or [rank] up to depth 10. *)
-let nn_payload = 10
-
-(* The index for the caller's snapshot, dropped wholesale when the
-   snapshot is newer than the index.  A caller still on a retired
-   snapshot (a ranking built after its provisional reply, while a
-   reload landed) gets [None]: it must neither read the newer index
-   nor reset it back to its own generation. *)
-let nn_sync ns snapshot ~dim =
-  Mutex.protect ns.nn_m (fun () ->
-      if snapshot.generation > ns.nn_generation then begin
-        ns.nn_generation <- snapshot.generation;
-        ns.nn_index <- Sorl_util.Nn_index.create ~capacity:ns.nn_capacity ~dim ();
-        Hashtbl.reset ns.embeds
-      end;
-      if snapshot.generation = ns.nn_generation then Some ns.nn_index else None)
-
-let nn_embedding ns snapshot inst =
-  let name = Instance.name inst in
-  match Mutex.protect ns.nn_m (fun () -> Hashtbl.find_opt ns.embeds name) with
-  | Some v -> v
-  | None ->
-    (* Computed outside the lock (it walks the probe grid); a racing
-       duplicate computes the same bytes, and the first insert wins. *)
-    let v = Sorl.Autotuner.embed snapshot.tuner inst in
-    Mutex.protect ns.nn_m (fun () ->
-        match Hashtbl.find_opt ns.embeds name with
-        | Some v' -> v'
-        | None ->
-          Hashtbl.replace ns.embeds name v;
-          v)
-
-(* Remember an instance's exact winners (the head of its ranking) so
-   later similar instances can reuse them.  Never lets a racing reload
-   surface as a request error — worst case the entry lands in an index
-   about to be dropped. *)
-let nn_insert t snapshot inst winners =
-  match t.neighbors with
-  | None -> ()
-  | Some ns -> (
-    try
-      let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
-      Option.iter
-        (fun index ->
-          Sorl_util.Nn_index.add index ~key:(Instance.name inst) (nn_embedding ns snapshot inst)
-            winners)
-        (nn_sync ns snapshot ~dim)
-    with _ -> ())
-
 (* ---- rank / tune ---- *)
 
 let instances = Array.of_list Benchmarks.instances
@@ -263,67 +181,23 @@ let make_grid ~dims =
   let set = Tuning.predefined_set ~dims in
   { set; words = Array.map (fun tn -> " " ^ Protocol.tuning_to_string tn) set }
 
-let fresh_snapshot ~tuner ~model_name ~generation =
-  let n = Array.length instances in
-  {
-    tuner;
-    model_name;
-    generation;
-    rankings = Array.init n (fun _ -> Atomic.make None);
-    build_m = Mutex.create ();
-    built = Condition.create ();
-    building = Array.make n false;
-  }
-
 (* One full scoring pass over the benchmark's grid.  The sort's own
    permutation is already the flat index into [grid.set], so it is
    stored as is. *)
-let build t snapshot i =
-  let inst = instances.(i) in
-  let grid = if Kernel.dims (Instance.kernel inst) = 2 then t.grid2 else t.grid3 in
-  let order, _follower =
-    Batcher.rank t.batcher ~generation:snapshot.generation ~tuner:snapshot.tuner ~inst grid.set
-  in
+let build ~grid2 ~grid3 tuner inst =
+  let grid = if Kernel.dims (Instance.kernel inst) = 2 then grid2 else grid3 in
+  let enc = Features.compile (Sorl.Autotuner.feature_mode tuner) inst in
+  let order = Sorl.Autotuner.rank_order tuner enc grid.set in
   let packed = Bytes.create (2 * Array.length order) in
   Array.iteri (fun j x -> Bytes.set_uint16_le packed (2 * j) x) order;
-  nn_insert t snapshot inst
-    (Array.init (min nn_payload (Array.length order)) (fun j -> grid.set.(order.(j))));
   { grid; order = packed }
 
-(* Benchmark [i]'s ranking under [snapshot], built on first use.
-   Concurrent first requests wait for the one build instead of running
-   their own, so each ranking is built once per generation. *)
-let ranking t snapshot i =
-  let slot = snapshot.rankings.(i) in
-  match Atomic.get slot with
-  | Some r -> r
-  | None -> (
-    let claim =
-      Mutex.protect snapshot.build_m (fun () ->
-          let rec wait () =
-            match Atomic.get slot with
-            | Some r -> Some r
-            | None when snapshot.building.(i) ->
-              Condition.wait snapshot.built snapshot.build_m;
-              wait ()
-            | None ->
-              snapshot.building.(i) <- true;
-              None
-          in
-          wait ())
-    in
-    match claim with
-    | Some r -> r
-    | None ->
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.protect snapshot.build_m (fun () ->
-              snapshot.building.(i) <- false;
-              Condition.broadcast snapshot.built))
-        (fun () ->
-          let r = build t snapshot i in
-          Atomic.set slot (Some r);
-          r))
+(* A serving snapshot with every benchmark's ranking built.  Runs in
+   the caller's domain: at start on the starting domain, at reload and
+   promote on the worker that handles the request.  An exception from
+   a build propagates, so the snapshot is never installed. *)
+let snapshot ~grid2 ~grid3 ~tuner ~model_name ~generation =
+  { tuner; model_name; generation; rankings = Array.map (build ~grid2 ~grid3 tuner) instances }
 
 let word r j = r.grid.words.(Bytes.get_uint16_le r.order (2 * j))
 
@@ -375,26 +249,7 @@ let handle_observe t ~benchmark ~tuning ~cost =
       | exception Sys_error msg -> err Protocol.Internal ("observation log: " ^ msg)))
 
 let handle_stats t =
-  let b = Batcher.stats t.batcher in
   let current = Atomic.get t.current in
-  let resident =
-    Array.fold_left (fun n slot -> if Option.is_some (Atomic.get slot) then n + 1 else n) 0
-      current.rankings
-  in
-  let neighbor_kvs =
-    match t.neighbors with
-    | None -> []
-    | Some ns ->
-      let index = Mutex.protect ns.nn_m (fun () -> ns.nn_index) in
-      [
-        ("neighbor_hits", Atomic.get ns.nn_hits);
-        ("neighbor_misses", Atomic.get ns.nn_misses);
-        ("approx_replies", Atomic.get ns.approx_replies);
-        ("neighbor_entries", Sorl_util.Nn_index.length index);
-        ("neighbor_capacity", ns.nn_capacity);
-        ("neighbor_evictions", Sorl_util.Nn_index.evictions index);
-      ]
-  in
   let learn_kvs =
     let obs_kvs =
       match t.obs with
@@ -437,33 +292,19 @@ let handle_stats t =
        ("reloads", Atomic.get t.reloads);
        ("pipelined", Atomic.get t.pipelined);
        ("result_cache_hits", Atomic.get t.hits);
-       ("result_cache_misses", Atomic.get t.misses);
-       ("result_cache_entries", resident);
-       ("rank_leaders", b.Batcher.leaders);
-       ("rank_followers", b.Batcher.followers);
-       ("encoder_hits", b.Batcher.encoder_hits);
-       ("encoder_misses", b.Batcher.encoder_misses);
+       ("result_cache_entries", Array.length current.rankings);
        ("queue_depth", Sorl_util.Bqueue.length t.queue);
        ("generation", current.generation);
      ]
-    @ neighbor_kvs @ learn_kvs)
-
-(* Build every benchmark's ranking of a snapshot before it goes live
-   (at start and at each install), so its first read of any depth is
-   already a slice.  A failed build is left to the first request, which
-   reports it. *)
-let warm_snapshot t snapshot =
-  Array.iteri (fun i _ -> try ignore (ranking t snapshot i) with _ -> ()) instances
+    @ learn_kvs)
 
 (* ---- per-line handling ---- *)
 
 (* [reply] appends the reply line, without its newline, to the worker's
    output buffer: a deep slice (about 150 KB at full depth) goes from
    the ranking into the write with no intermediate string.  [backfill],
-   when set, is deferred exact work the worker runs only {e after} the
-   batch's replies are written — a provisional reply is therefore
-   always strictly followed by the build of its ranking, never
-   interleaved with it. *)
+   when set, is canary shadow work the worker runs only {e after} the
+   batch's replies are written, so it never delays a reply. *)
 type outcome = {
   reply : Buffer.t -> unit;
   error : bool;
@@ -485,12 +326,13 @@ let outcome_of_response response =
    goes live through exactly the hot-swap path reload exercises —
    generation bump, rankings built, atomic snapshot swap, all before
    the reply is on the wire.  Until the swap the old snapshot keeps
-   serving; the retired one's rankings go with it. *)
+   serving; the retired one's rankings go with it.  A failed build
+   raises before the swap, so the request gets [err internal] and the
+   old snapshot stays live. *)
 let install_locked t ~tuner ~model_name =
   let generation = (Atomic.get t.current).generation + 1 in
-  let snapshot = fresh_snapshot ~tuner ~model_name ~generation in
-  if t.warm then warm_snapshot t snapshot;
-  Atomic.set t.current snapshot;
+  Atomic.set t.current
+    (snapshot ~grid2:t.grid2 ~grid3:t.grid3 ~tuner ~model_name ~generation);
   Atomic.incr t.reloads;
   Sorl_util.Telemetry.incr reloads_counter;
   generation
@@ -577,75 +419,22 @@ let handle_promote t =
                 "not enough held-out observations to compare (each benchmark needs >= 2 records \
                  with distinct costs)"))))
 
-(* A [rank!]/[tune!] whose ranking is not resident, answered from the
-   nearest indexed instance within the threshold.  The provisional
-   reply reuses the neighbor's exact winners under the {e requested}
-   benchmark's name and total; building the request's own ranking
-   runs as the outcome's [backfill], so the very next request for that
-   benchmark is an exact slice.  Counts: [nn_hits]/[approx_replies] on
-   a usable neighbor, [nn_misses] when no indexed instance qualifies. *)
-let approx_reply t snapshot request i =
-  let inst = instances.(i) in
-  let attempt ns ~benchmark ~need ~mk =
-    try
-      let dim = Features.dim (Sorl.Autotuner.feature_mode snapshot.tuner) in
-      let nearest index =
-        Sorl_util.Nn_index.nearest ~max_dist:ns.nn_threshold ~exclude:benchmark index
-          (nn_embedding ns snapshot inst)
-      in
-      match Option.bind (nn_sync ns snapshot ~dim) nearest with
-      | Some (_, winners, _) when Array.length winners >= need ->
-        Atomic.incr ns.nn_hits;
-        Sorl_util.Telemetry.incr neighbor_hits_counter;
-        Atomic.incr ns.approx_replies;
-        Sorl_util.Telemetry.incr approx_counter;
-        let o = outcome_of_response (mk winners) in
-        Some { o with backfill = Some (fun () -> ignore (ranking t snapshot i)) }
-      | _ ->
-        Atomic.incr ns.nn_misses;
-        Sorl_util.Telemetry.incr neighbor_misses_counter;
-        None
-    with _ -> None
-  in
-  match (t.neighbors, request) with
-  | Some ns, Protocol.Rank { benchmark; top; approx_ok = true } ->
-    attempt ns ~benchmark ~need:top ~mk:(fun winners ->
-        Protocol.Ranked
-          {
-            benchmark;
-            total = Tuning.predefined_size ~dims:(Kernel.dims (Instance.kernel inst));
-            tunings = Array.to_list (Array.sub winners 0 top);
-            approx = true;
-          })
-  | Some ns, Protocol.Tune { benchmark; approx_ok = true } ->
-    attempt ns ~benchmark ~need:1 ~mk:(fun winners ->
-        Protocol.Tuned { benchmark; tuning = winners.(0); approx = true })
-  | _ -> None
-
-(* rank/tune: a slice of the benchmark's resident ranking, built on
-   first use; a [rank!]/[tune!] that finds it not resident may get a
-   provisional neighbor reply instead. *)
-let from_ranking t snapshot request ~benchmark ~approx_ok reply_of =
+(* rank/tune, with or without [!]: a slice of the benchmark's resident
+   ranking. *)
+let from_ranking t snapshot ~benchmark reply_of =
   match bench_index benchmark with
-  | None -> outcome_of_response (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
-  | Some i -> (
-    let exact r = { reply = reply_of r; error = false; bye = false; backfill = None } in
-    match Atomic.get snapshot.rankings.(i) with
-    | Some r ->
-      Atomic.incr t.hits;
-      exact r
-    | None -> (
-      Atomic.incr t.misses;
-      match if approx_ok then approx_reply t snapshot request i else None with
-      | Some o -> o
-      | None -> exact (ranking t snapshot i)))
+  | None ->
+    outcome_of_response
+      (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
+  | Some i ->
+    Atomic.incr t.hits;
+    { reply = reply_of snapshot.rankings.(i); error = false; bye = false; backfill = None }
 
 let dispatch t snapshot request =
   match request with
-  | Protocol.Rank { benchmark; top; approx_ok } ->
-    from_ranking t snapshot request ~benchmark ~approx_ok (rank_reply ~benchmark ~top)
-  | Protocol.Tune { benchmark; approx_ok } ->
-    from_ranking t snapshot request ~benchmark ~approx_ok (tune_reply ~benchmark)
+  | Protocol.Rank { benchmark; top; _ } ->
+    from_ranking t snapshot ~benchmark (rank_reply ~benchmark ~top)
+  | Protocol.Tune { benchmark; _ } -> from_ranking t snapshot ~benchmark (tune_reply ~benchmark)
   | Protocol.Observe { benchmark; tuning; cost } ->
     outcome_of_response (handle_observe t ~benchmark ~tuning ~cost)
   | Protocol.Info -> outcome_of_response (handle_info t)
@@ -696,8 +485,8 @@ let shadow_record t ~benchmark ~agreed =
 
 (* Re-score a sampled request with the candidate and compare against
    the stable reply's tunings (parsed back from the bytes that
-   actually went out, provisional ones included).  Runs
-   strictly after the reply is written — never on the reply path. *)
+   actually went out).  Runs strictly after the reply is written —
+   never on the reply path. *)
 let shadow_work t cn ~benchmark reply =
   match Sorl_stencil.Benchmarks.instance_by_name benchmark with
   | exception Not_found -> ()
@@ -730,15 +519,7 @@ let reply_for t snapshot request =
       o.reply b;
       shadow_work t cn ~benchmark (Buffer.contents b)
     in
-    let backfill =
-      match o.backfill with
-      | None -> work
-      | Some f ->
-        fun () ->
-          f ();
-          work ()
-    in
-    { o with backfill = Some backfill }
+    { o with backfill = Some work }
 
 let handle_line t line =
   Atomic.incr t.requests;
@@ -796,152 +577,129 @@ let worker_loop t reactor =
               (Buffer.contents buf)
           in
           Reactor.complete reactor conn ~close:(!bye || Result.is_error wrote);
-          (* Provisional replies are already on the wire; now build
-             their rankings.  A failure is dropped — the next request
-             for that benchmark builds it. *)
+          (* The replies are on the wire; now the canary shadow work.
+             A failure only loses that sample. *)
           List.iter (fun f -> try f () with _ -> ()) (List.rev !backfills);
           loop ()
       in
       loop ())
 
-(* Calibrated on the registered suite (Extended mode) against measured
-   ranking transfer, not just embedding geometry: distance predicts
-   rank agreement only in the near-identical regime.  Blur size
-   variants (4e-4) and edge vs game-of-life (0.0 — identical 3x3
-   pattern encodings) transfer at Kendall tau 0.87-1.0; the next
-   closest pair (laplacian6 size variants, 4.7e-3) already drops to
-   tau ~0.3 with double-digit regret.  0.002 sits an order of
-   magnitude from both populations. *)
-let default_neighbor_threshold = 0.002
-
 let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity = 64)
-    ?(conn_timeout_s = 10.) ?(max_connections = 512) ?(warm = true) ?(neighbors = 512) ?(neighbor_threshold = default_neighbor_threshold)
-    ?obs_log ?obs_roll ?obs_fsync ?(canary_fraction = 1.)
-    ?(holdout = Sorl_learn.Trainer.default_holdout)
+    ?(conn_timeout_s = 10.) ?(max_connections = 512) ?obs_log ?obs_roll ?obs_fsync
+    ?(canary_fraction = 1.) ?(holdout = Sorl_learn.Trainer.default_holdout)
     ?(holdout_seed = Sorl_learn.Trainer.default_seed) source =
   let workers =
     match workers with Some w -> w | None -> Sorl_util.Pool.default_domains ()
   in
   if workers < 1 then Error "Server.start: workers must be >= 1"
+  else if queue_capacity < 1 then Error "Server.start: queue_capacity must be >= 1"
   else if not (Float.is_finite canary_fraction) || canary_fraction <= 0. || canary_fraction > 1.
   then Error "Server.start: canary_fraction must be in (0, 1]"
   else if not (Float.is_finite holdout) || holdout < 0. || holdout >= 1. then
     Error "Server.start: holdout must be in [0, 1)"
   else
-    let obs_writer =
-      match obs_log with
-      | None -> Ok None
-      | Some path ->
-        Result.map Option.some
-          (Sorl_learn.Obs_log.create ?roll_at:obs_roll ?fsync_on_seal:obs_fsync path)
-    in
-    match obs_writer with
-    | Error msg -> Error msg
-    | Ok obs -> (
-    match load_source source ~name:None with
-    | Error (_, msg) -> Error msg
-    | Ok (tuner, model_name) -> (
+    (* Everything that can fail runs before the observation log and the
+       listener are opened, and the listener is bound last, so an
+       [Error] never leaves a descriptor or a socket file behind. *)
+    let ( let* ) = Result.bind in
+    let grid2 = make_grid ~dims:2 and grid3 = make_grid ~dims:3 in
+    let opened =
+      let* tuner, model_name = Result.map_error snd (load_source source ~name:None) in
+      (* Built before accepting: the first query of every benchmark is
+         already a slice. *)
+      let* initial =
+        match snapshot ~grid2 ~grid3 ~tuner ~model_name ~generation:0 with
+        | s -> Ok s
+        | exception e -> Error ("Server.start: ranking build: " ^ Printexc.to_string e)
+      in
+      let* obs =
+        match obs_log with
+        | None -> Ok None
+        | Some path ->
+          Result.map Option.some
+            (Sorl_learn.Obs_log.create ?roll_at:obs_roll ?fsync_on_seal:obs_fsync path)
+      in
       match make_listener address with
-      | Error _ as e -> e
-      | Ok (listen_fd, address) ->
-        (* A client vanishing mid-reply must not kill the server. *)
-        (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-        let neighbor_state =
-          if neighbors <= 0 then None
-          else
-            Some
-              {
-                nn_threshold = neighbor_threshold;
-                nn_capacity = neighbors;
-                nn_m = Mutex.create ();
-                nn_generation = 0;
-                nn_index =
-                  Sorl_util.Nn_index.create ~capacity:neighbors
-                    ~dim:(Features.dim (Sorl.Autotuner.feature_mode tuner))
-                    ();
-                embeds = Hashtbl.create 32;
-                nn_hits = Atomic.make 0;
-                nn_misses = Atomic.make 0;
-                approx_replies = Atomic.make 0;
-              }
-        in
-        let canary_every =
-          if canary_fraction >= 1. then 1
-          else max 1 (int_of_float (Float.round (1. /. canary_fraction)))
-        in
-        let t =
-          {
-            address;
-            source;
-            current = Atomic.make (fresh_snapshot ~tuner ~model_name ~generation:0);
-            obs;
-            observations = Atomic.make 0;
-            holdout;
-            holdout_seed;
-            canary_every;
-            canary = Atomic.make None;
-            quarantined = Hashtbl.create 8;
-            canary_shadowed = Atomic.make 0;
-            canary_agree = Atomic.make 0;
-            canary_disagree = Atomic.make 0;
-            canary_promotions = Atomic.make 0;
-            canary_rollbacks = Atomic.make 0;
-            canary_tau_stable_m = Atomic.make 0;
-            canary_tau_candidate_m = Atomic.make 0;
-            canary_bm_m = Mutex.create ();
-            canary_bm = Hashtbl.create 32;
-            batcher = Batcher.create ();
-            grid2 = make_grid ~dims:2;
-            grid3 = make_grid ~dims:3;
-            hits = Atomic.make 0;
-            misses = Atomic.make 0;
-            neighbors = neighbor_state;
-            warm;
-            workers;
-            conn_timeout_s;
-            listen_fd;
-            queue = Sorl_util.Bqueue.create ~capacity:queue_capacity;
-            stopping = Atomic.make false;
-            reload_m = Mutex.create ();
-            started_at = Unix.gettimeofday ();
-            requests = Atomic.make 0;
-            errors = Atomic.make 0;
-            connections = Atomic.make 0;
-            busy_rejections = Atomic.make 0;
-            reloads = Atomic.make 0;
-            pipelined = Atomic.make 0;
-            reactor = None;
-            reactor_domain = None;
-            worker_domains = [];
-            joined = false;
-          }
-        in
-        (* Warm before accepting: the first query of every benchmark is
-           already a slice. *)
-        if warm then warm_snapshot t (Atomic.get t.current);
-        let reactor =
-          Reactor.create ~listen_fd ~queue:t.queue ~stopping:t.stopping ~max_connections
-            ~idle_timeout_s:conn_timeout_s
-            ~busy_reply:
-              (Protocol.encode_response (err Protocol.Busy "server busy, retry later"))
-            ~on_connection:(fun () ->
-              Atomic.incr t.connections;
-              Sorl_util.Telemetry.incr connections_counter;
-              Sorl_util.Telemetry.observe queue_depth_hist
-                (float_of_int (Sorl_util.Bqueue.length t.queue)))
-            ~on_shed:(fun () ->
-              Atomic.incr t.busy_rejections;
-              Sorl_util.Telemetry.incr busy_counter)
-            ~on_pipelined:(fun n ->
-              ignore (Atomic.fetch_and_add t.pipelined n);
-              Sorl_util.Telemetry.add pipelined_counter n)
-            ()
-        in
-        t.reactor <- Some reactor;
-        t.worker_domains <-
-          List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t reactor));
-        t.reactor_domain <- Some (Domain.spawn (fun () -> Reactor.run reactor));
-        Ok t))
+      | Ok listener -> Ok (initial, obs, listener)
+      | Error _ as e ->
+        Option.iter Sorl_learn.Obs_log.close obs;
+        e
+    in
+    match opened with
+    | Error _ as e -> e
+    | Ok (initial, obs, (listen_fd, address)) ->
+      (* A client vanishing mid-reply must not kill the server. *)
+      (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
+      let canary_every =
+        if canary_fraction >= 1. then 1
+        else max 1 (int_of_float (Float.round (1. /. canary_fraction)))
+      in
+      let t =
+        {
+          address;
+          source;
+          current = Atomic.make initial;
+          obs;
+          observations = Atomic.make 0;
+          holdout;
+          holdout_seed;
+          canary_every;
+          canary = Atomic.make None;
+          quarantined = Hashtbl.create 8;
+          canary_shadowed = Atomic.make 0;
+          canary_agree = Atomic.make 0;
+          canary_disagree = Atomic.make 0;
+          canary_promotions = Atomic.make 0;
+          canary_rollbacks = Atomic.make 0;
+          canary_tau_stable_m = Atomic.make 0;
+          canary_tau_candidate_m = Atomic.make 0;
+          canary_bm_m = Mutex.create ();
+          canary_bm = Hashtbl.create 32;
+          grid2;
+          grid3;
+          hits = Atomic.make 0;
+          workers;
+          conn_timeout_s;
+          listen_fd;
+          queue = Sorl_util.Bqueue.create ~capacity:queue_capacity;
+          stopping = Atomic.make false;
+          reload_m = Mutex.create ();
+          started_at = Unix.gettimeofday ();
+          requests = Atomic.make 0;
+          errors = Atomic.make 0;
+          connections = Atomic.make 0;
+          busy_rejections = Atomic.make 0;
+          reloads = Atomic.make 0;
+          pipelined = Atomic.make 0;
+          reactor = None;
+          reactor_domain = None;
+          worker_domains = [];
+          joined = false;
+        }
+      in
+      let reactor =
+        Reactor.create ~listen_fd ~queue:t.queue ~stopping:t.stopping ~max_connections
+          ~idle_timeout_s:conn_timeout_s
+          ~busy_reply:
+            (Protocol.encode_response (err Protocol.Busy "server busy, retry later"))
+          ~on_connection:(fun () ->
+            Atomic.incr t.connections;
+            Sorl_util.Telemetry.incr connections_counter;
+            Sorl_util.Telemetry.observe queue_depth_hist
+              (float_of_int (Sorl_util.Bqueue.length t.queue)))
+          ~on_shed:(fun () ->
+            Atomic.incr t.busy_rejections;
+            Sorl_util.Telemetry.incr busy_counter)
+          ~on_pipelined:(fun n ->
+            ignore (Atomic.fetch_and_add t.pipelined n);
+            Sorl_util.Telemetry.add pipelined_counter n)
+          ()
+      in
+      t.reactor <- Some reactor;
+      t.worker_domains <-
+        List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t reactor));
+      t.reactor_domain <- Some (Domain.spawn (fun () -> Reactor.run reactor));
+      Ok t
 
 let address t = t.address
 let generation t = (Atomic.get t.current).generation

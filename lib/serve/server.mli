@@ -10,9 +10,9 @@
     worker, and any number of mostly-idle clients coexist with a small
     worker pool.  Requests a client pipelines (several lines buffered
     before the server reads) are answered in order with a single
-    write.  Worker domains run under {!Sorl_util.Pool.serially}, so a
-    rank request's scoring pass never fans out into a second level of
-    domains.
+    write.  Worker domains run under {!Sorl_util.Pool.serially}, so the
+    ranking builds of a [reload]/[promote] and canary shadow scoring
+    never fan out into a second level of domains.
 
     The hot path is a slice of a resident ranking.  Under one model,
     [rank k] is the first [k] of the benchmark's full ranking of the
@@ -22,44 +22,27 @@
     the server keeps one table of pre-encoded tuning strings per grid
     shape.  A reply of any depth is the [ok rank <b> <n>] header
     followed by the first [min k n] table entries: no scoring, no
-    formatting, byte-identical to {!Protocol.encode_response}.  With
-    [warm] (the default) all rankings are built before a snapshot goes
-    live, at [start] and at each successful [reload]/[promote].
-    Without it, a benchmark's ranking is built by its first request
-    (through {!Batcher.rank}); concurrent first requests wait for that
-    one build.  A retired generation's rankings are freed with its
-    snapshot, so memory holds at most one ranking per benchmark and
-    live generation, whatever the traffic.
-
-    {2 Near-miss reuse}
-
-    Behind the rankings sits a nearest-neighbor index
-    ({!Sorl_util.Nn_index}) over instance embeddings
-    ({!Sorl.Autotuner.embed}), populated with the exact winners of
-    every instance the server has ranked under the current generation.
-    A [rank!]/[tune!] request ({!Protocol.request} with [approx_ok])
-    whose ranking is not resident and has an indexed instance within
-    [neighbor_threshold] cosine distance is answered {e immediately}
-    with that neighbor's winners, flagged approximate ([rank~]/[tune~]
-    on the wire); its own ranking is built after the reply is written.
-    The next request for that benchmark is therefore an exact slice,
-    exact replies are byte-identical to a server without the layer,
-    and a reply is never torn between the two (the build runs strictly
-    after the write).  Requests without [!] never receive approximate
-    answers.  The index is keyed to the model generation; a reload
-    drops it wholesale.  With [warm] every ranking is resident, so
-    this layer only ever answers under [warm:false].
+    formatting, byte-identical to {!Protocol.encode_response}.  All
+    rankings of a snapshot are built ({!Sorl_stencil.Features.compile}
+    and {!Sorl.Autotuner.rank_order}) before it goes live, at [start]
+    and at each successful [reload]/[promote], so every rank and tune
+    reply — [rank!]/[tune!] included, which are answered exactly like
+    the plain verbs — is a slice.  A retired generation's rankings are
+    freed with its snapshot, so memory holds one ranking per benchmark
+    and live generation, whatever the traffic.
 
     The served model lives in an [Atomic.t] holding an immutable
     (tuner, name, generation) snapshot: [reload] builds the new
     snapshot off to the side — with the typed
     {!Sorl.Autotuner.load_result} / {!Model_store.load} error paths, so
     a corrupt file is an [err store] reply and the old model keeps
-    serving — and swaps it in one atomic store.  In-flight requests
-    keep the snapshot they started with; replies are never torn across
-    models, and rankings live in the snapshot of the model that
-    produced them, so a stale generation's reply can never be served
-    after the reload that retired it.
+    serving — builds its rankings, and swaps it in one atomic store.  A
+    build that raises leaves the old snapshot live and the request gets
+    [err internal].  In-flight requests keep the snapshot they started
+    with; replies are never torn across models, and rankings live in
+    the snapshot of the model that produced them, so a stale
+    generation's reply can never be served after the reload that
+    retired it.
 
     Backpressure is explicit: when [max_connections] is reached at
     accept, or the worker queue is full at dispatch, the client gets an
@@ -74,8 +57,8 @@
     replay recovers every complete record).  [canary <model>] loads a
     store entry as a {e shadow} candidate: every [canary_fraction]-th
     rank/tune request is re-scored by the candidate strictly {e after}
-    the stable reply is written (the same deferred-work mechanism as
-    the near-miss back-fill), so replies stay byte-identical to the
+    the stable reply is written (deferred work the worker runs after
+    the batch's write), so replies stay byte-identical to the
     stable generation while [canary_agree]/[canary_disagree] and
     per-benchmark agreement accumulate.  [promote] replays the log,
     takes the deterministic held-out slice ({!Sorl_learn.Trainer.split}
@@ -93,19 +76,13 @@
 
     Telemetry (when enabled): [serve.requests], [serve.errors],
     [serve.connections], [serve.busy], [serve.reloads],
-    [serve.pipelined], [serve.neighbor_hits], [serve.neighbor_misses],
-    [serve.approx_replies] counters, a [serve/request] span per
-    request and [serve.request_s] / [serve.queue_depth] histograms.
-    The [stats] request exports these and more.  The
-    [result_cache_*] keys keep their names: [result_cache_hits] counts
-    rank/tune replies sliced from a resident ranking,
-    [result_cache_misses] the rank/tune requests that found their
-    benchmark's ranking not resident (and so needed it built), and
+    [serve.pipelined] counters, a [serve/request] span per request and
+    [serve.request_s] / [serve.queue_depth] histograms.  The [stats]
+    request exports these and more.  The [result_cache_*] keys keep
+    their names: [result_cache_hits] counts rank/tune replies sliced
+    from a resident ranking (every one for a known benchmark), and
     [result_cache_entries] the rankings resident in the current
-    generation.  [rank_leaders] counts the builds.  For a pure
-    [rank!]/[tune!] load over known benchmarks,
-    [approx_replies + result_cache_hits + neighbor_misses] accounts
-    for every request exactly once. *)
+    generation (one per registered benchmark). *)
 
 type t
 
@@ -124,26 +101,12 @@ val listener :
     ephemeral port; a stale unix socket file is unlinked first).
     Shared with {!Router.start}, which fronts the same protocol. *)
 
-val default_neighbor_threshold : float
-(** Default cosine-distance threshold for near-miss reuse.  Calibrated
-    on the registered benchmark suite against {e measured} ranking
-    transfer: only near-identical encodings (blur size variants, edge
-    vs game-of-life) keep the provisional ranking within the quality
-    gate (Kendall tau >= 0.85 vs the exact ranking); already at a few
-    1e-3 of cosine distance the transferred ordering degrades to tau
-    ~0.3, so the default declines those ([neighbor_misses]) rather
-    than reply with a misleading ranking.  The [neighbor-reuse] bench
-    reports the measured distance/tau table. *)
-
 val start :
   ?address:Protocol.address ->
   ?workers:int ->
   ?queue_capacity:int ->
   ?conn_timeout_s:float ->
   ?max_connections:int ->
-  ?warm:bool ->
-  ?neighbors:int ->
-  ?neighbor_threshold:float ->
   ?obs_log:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->
@@ -152,23 +115,15 @@ val start :
   ?holdout_seed:int ->
   source ->
   (t, string) result
-(** Load the initial model, bind the listener, build every
-    benchmark's ranking (unless [warm] is false) and spawn the reactor
-    and worker domains.  Defaults: [unix:sorl.sock],
-    [Sorl_util.Pool.default_domains ()] workers, queue capacity 64
-    batches, 10 s idle/write timeout, 512 connections, [warm] true,
-    [neighbors] 512, [neighbor_threshold]
-    {!default_neighbor_threshold}.  [Tcp (host, 0)] binds an ephemeral
-    port — read the real one back from {!address}.
-
-    [warm:false] defers each benchmark's ranking to its first request,
-    at start and after every reload: replies are the same bytes,
-    only the first request per benchmark and generation pays for the
-    scoring pass.
-
-    [neighbors] caps the near-miss index's entry count (LRU beyond
-    it); 0 disables the layer entirely, making [rank!]/[tune!]
-    behave exactly like [rank]/[tune].
+(** Load the initial model, build every benchmark's ranking, bind the
+    listener and spawn the reactor and worker domains.  Defaults:
+    [unix:sorl.sock], [Sorl_util.Pool.default_domains ()] workers,
+    queue capacity 64 batches, 10 s idle/write timeout, 512
+    connections.  [Tcp (host, 0)] binds an ephemeral port — read the
+    real one back from {!address}.  Bad arguments ([workers] or
+    [queue_capacity] below 1, [canary_fraction] or [holdout] out of
+    range), an unloadable model or a failed build return [Error] with
+    no descriptor, observation-log writer or socket file left open.
 
     [obs_log] enables observation ingestion into the given segmented
     log directory (created — parent directories included — when

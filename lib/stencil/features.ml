@@ -632,71 +632,6 @@ let tuning_feature_indices = function
       (Array.init 5 (fun i -> tuning_base + i))
       (Array.init (extended_dim - canonical_dim) (fun i -> canonical_dim + i))
 
-(* ---- instance embedding ----
-
-   An instance-level aggregate of the feature map: the mean of
-   [φ(inst, t)] over a small deterministic probe set of tunings drawn
-   from the predefined grid (lo/mid/hi of each block axis, lo/hi of
-   unroll and chunk), L2-normalized.  Canonical instance features pass
-   through unchanged (they are constant across probes); the extended
-   interaction terms contribute how the instance modulates the tuning
-   axes, which is exactly the similarity signal near-miss reuse needs.
-   Purely serial and built from the same compiled encoder as ranking,
-   so the vector is identical across pool sizes and repeat calls. *)
-
-let embedding_probes ~dims =
-  let a = Tuning.predefined_axes ~dims in
-  let picks ax k =
-    let n = Array.length ax in
-    (if n <= k || k < 2 then List.init (min n k) Fun.id
-     else List.init k (fun i -> i * (n - 1) / (k - 1)))
-    |> List.sort_uniq compare
-    |> List.map (fun i -> ax.(i))
-  in
-  let bxs = picks a.Tuning.ax_bx 3
-  and bys = picks a.Tuning.ax_by 3
-  and bzs = picks a.Tuning.ax_bz 3
-  and us = picks a.Tuning.ax_u 2
-  and cs = picks a.Tuning.ax_c 2 in
-  List.concat_map
-    (fun bx ->
-      List.concat_map
-        (fun by ->
-          List.concat_map
-            (fun bz ->
-              List.concat_map
-                (fun u -> List.map (fun c -> { Tuning.bx; by; bz; u; c }) cs)
-                us)
-            bzs)
-        bys)
-    bxs
-
-let embedding mode inst =
-  let enc = compile mode inst in
-  let dims = Kernel.dims (Instance.kernel inst) in
-  let probes = embedding_probes ~dims in
-  let d = dim mode in
-  let acc = Array.make d 0. in
-  let m = max_nnz enc in
-  let idx = Array.make m 0 and v = Array.make m 0. in
-  List.iter
-    (fun tn ->
-      let n = encode_into enc tn idx v in
-      for j = 0 to n - 1 do
-        acc.(idx.(j)) <- acc.(idx.(j)) +. v.(j)
-      done)
-    probes;
-  let np = float_of_int (List.length probes) in
-  for j = 0 to d - 1 do
-    acc.(j) <- acc.(j) /. np
-  done;
-  let norm = sqrt (Array.fold_left (fun s x -> s +. (x *. x)) 0. acc) in
-  if norm > 0. then
-    for j = 0 to d - 1 do
-      acc.(j) <- acc.(j) /. norm
-    done;
-  acc
-
 let mode_to_string = function Canonical -> "canonical" | Extended -> "extended"
 
 (* The schema hash pins everything a cached encoding depends on: the

@@ -154,16 +154,6 @@ val bound_lower :
     parameter values) and returns a lower bound on the score of every
     tuning in the subcube.  O(range widths), allocation-free. *)
 
-val embedding : mode -> Instance.t -> float array
-(** [embedding mode inst] is a dense, L2-normalized instance vector of
-    length [dim mode]: the mean of [φ(inst, t)] over a small
-    deterministic probe set of tunings from the predefined grid
-    (lo/mid/hi per block axis, lo/hi of unroll and chunk).  Built from
-    the same compiled encoder as ranking, fully serial, so the result
-    is bit-identical across calls and pool sizes.  Cosine distance
-    between embeddings is the similarity measure the near-miss reuse
-    layer thresholds on. *)
-
 val names : mode -> string array
 (** Human-readable name per feature index (pattern cells are named by
     their offset). *)

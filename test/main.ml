@@ -27,7 +27,6 @@ let () =
       ("core", Test_core.suite);
       ("topk", Test_topk.suite);
       ("serve", Test_serve.suite);
-      ("neighbor", Test_neighbor.suite);
       ("fleet", Test_fleet.suite);
       ("baselines", Test_baselines.suite);
       ("temporal", Test_temporal.suite);

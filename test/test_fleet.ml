@@ -156,6 +156,20 @@ let raw_ask address line =
   close_out_noerr oc;
   reply
 
+let test_router_rejects_queue_zero () =
+  Test_serve.with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "router.sock" in
+  (match
+     Router.start ~address:(Protocol.Unix_path sock) ~queue_capacity:0
+       [ Protocol.Unix_path (Filename.concat dir "s0.sock") ]
+   with
+  | Ok r ->
+    Router.stop r;
+    Router.wait r;
+    Alcotest.fail "queue_capacity 0 accepted"
+  | Error _ -> ());
+  checkb "no socket file" false (Sys.file_exists sock)
+
 let test_router_matches_direct () =
   let tuner = Lazy.force Test_serve.tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
@@ -361,6 +375,8 @@ let suite =
   ]
   @ ring_stability_tests
   @ [
+      Alcotest.test_case "router: queue 0 is an error, nothing bound" `Quick
+        test_router_rejects_queue_zero;
       Alcotest.test_case "router: replies byte-identical to a shard" `Slow
         test_router_matches_direct;
       Alcotest.test_case "router: one key, one shard (locality)" `Slow test_router_locality;

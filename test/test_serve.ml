@@ -1,5 +1,5 @@
 (* Tests for the serving subsystem: wire protocol round-trips, the
-   versioned model store, request coalescing, and the socket server
+   versioned model store, the top-k batcher, and the socket server
    end-to-end — served rankings must be bit-identical to in-process
    Autotuner.rank, including under concurrent clients and across a
    mid-load hot reload. *)
@@ -162,6 +162,96 @@ let test_protocol_addresses () =
 
 (* ---- defensive model loading ---- *)
 
+(* ---- protocol: bang requests, tilde replies, strict mode ---- *)
+
+let test_protocol_approx_roundtrip () =
+  let enc = Protocol.encode_request in
+  (* byte compatibility: the default encodings are the pre-extension
+     frames *)
+  checks "rank unchanged" "sorl1 rank blur-1024x768 10"
+    (enc (Protocol.Rank { benchmark = "blur-1024x768"; top = 10; approx_ok = false }));
+  checks "tune unchanged" "sorl1 tune blur-1024x768"
+    (enc (Protocol.Tune { benchmark = "blur-1024x768"; approx_ok = false }));
+  checks "rank! opt-in" "sorl1 rank! blur-1024x768 10"
+    (enc (Protocol.Rank { benchmark = "blur-1024x768"; top = 10; approx_ok = true }));
+  checks "tune! opt-in" "sorl1 tune! blur-1024x768"
+    (enc (Protocol.Tune { benchmark = "blur-1024x768"; approx_ok = true }));
+  (* request round-trips preserve the flag *)
+  List.iter
+    (fun r ->
+      checkb "request roundtrip" true
+        (get (Protocol.parse_request (enc r)) = r))
+    [
+      Protocol.Rank { benchmark = "b"; top = 3; approx_ok = true };
+      Protocol.Rank { benchmark = "b"; top = 3; approx_ok = false };
+      Protocol.Tune { benchmark = "b"; approx_ok = true };
+      Protocol.Tune { benchmark = "b"; approx_ok = false };
+    ];
+  (* responses: approx=false encodes the legacy verbs, approx=true the
+     tilde forms; both round-trip *)
+  let t = Tuning.create ~bx:64 ~by:8 ~bz:1 ~u:2 ~c:16 in
+  let ranked approx =
+    Protocol.Ranked { benchmark = "b"; total = 1600; tunings = [ t ]; approx }
+  in
+  let tuned approx = Protocol.Tuned { benchmark = "b"; tuning = t; approx } in
+  checkb "ranked exact has no flag" true
+    (String.sub (Protocol.encode_response (ranked false)) 0 8 = "ok rank ");
+  checkb "ranked approx flagged" true
+    (String.sub (Protocol.encode_response (ranked true)) 0 8 = "ok rank~");
+  List.iter
+    (fun r ->
+      checkb "response roundtrip" true
+        (get (Protocol.parse_response (Protocol.encode_response r)) = r))
+    [ ranked false; ranked true; tuned false; tuned true ]
+
+let test_protocol_strict_vs_lenient () =
+  let t = Tuning.create ~bx:64 ~by:8 ~bz:1 ~u:2 ~c:16 in
+  let exact =
+    Protocol.encode_response
+      (Protocol.Tuned { benchmark = "b"; tuning = t; approx = false })
+  in
+  (* splice an unknown flag onto the reply verb ("ok tune" -> "ok tune?") *)
+  let unknown_flag =
+    "ok tune?" ^ String.sub exact 7 (String.length exact - 7)
+  in
+  (match Protocol.parse_response unknown_flag with
+  | Ok (Protocol.Tuned { approx = false; _ }) -> ()
+  | Ok _ -> Alcotest.fail "lenient: wrong reply shape"
+  | Error m -> Alcotest.fail ("lenient parse should skip unknown flags: " ^ m));
+  let m = get_err "strict" (Protocol.parse_response ~strict:true unknown_flag) in
+  checkb "strict names the flag" true
+    (let has sub s =
+       let n = String.length sub and l = String.length s in
+       let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in
+       go 0
+     in
+     has "?" m);
+  (* unknown base verbs error in both modes *)
+  (match Protocol.parse_response "ok zzz 1 2 3" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown base verb must error leniently too");
+  match Protocol.parse_response ~strict:true "ok zzz 1 2 3" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown base verb must error strictly"
+
+(* ---- result cache: evictions and per-generation occupancy ---- *)
+
+let test_result_cache_evictions_and_generations () =
+  let c = Result_cache.create ~capacity:3 () in
+  let key g b = Result_cache.key ~generation:g ~verb:"rank:3" ~benchmark:b in
+  Result_cache.put c (key 0 "a") "ra";
+  Result_cache.put c (key 0 "b") "rb";
+  Result_cache.put c (key 1 "a") "ra1";
+  checki "no evictions yet" 0 (Result_cache.evictions c);
+  checkb "by generation" true (Result_cache.entries_by_generation c = [ (0, 2); (1, 1) ]);
+  Result_cache.put c (key 1 "b") "rb1";
+  checki "one eviction" 1 (Result_cache.evictions c);
+  checkb "LRU (gen 0) drained first" true
+    (Result_cache.entries_by_generation c = [ (0, 1); (1, 2) ]);
+  (* refreshing an existing key is not an eviction *)
+  Result_cache.put c (key 1 "b") "rb1";
+  checki "refresh is free" 1 (Result_cache.evictions c)
+
 let test_load_errors () =
   with_temp_dir @@ fun dir ->
   let path name = Filename.concat dir name in
@@ -244,39 +334,6 @@ let test_store_names () =
   let store = get (Model_store.open_dir (Filename.concat dir "store")) in
   ignore (get_err "bad name" (Model_store.save store ~name:"../evil" (Lazy.force tuner_a)));
   ignore (get_err "missing" (Model_store.load store ~name:"absent"))
-
-(* ---- batcher ---- *)
-
-let test_batcher_coalesces () =
-  let tuner = Lazy.force tuner_a in
-  let inst = List.nth tiny_instances 3 in
-  let rng = Sorl_util.Rng.create 11 in
-  let candidates = Array.init 80 (fun _ -> Tuning.random rng ~dims:2) in
-  let direct = Sorl.Autotuner.rank tuner inst candidates in
-  let b = Batcher.create () in
-  let calls_per_domain = 5 and domains = 4 in
-  let results = Array.make (domains * calls_per_domain) [||] in
-  let spawned =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for j = 0 to calls_per_domain - 1 do
-              let order, _follower =
-                Batcher.rank b ~generation:0 ~tuner ~inst candidates
-              in
-              results.((d * calls_per_domain) + j) <- Array.map (fun i -> candidates.(i)) order
-            done))
-  in
-  List.iter Domain.join spawned;
-  Array.iter (fun r -> checkb "all identical to direct rank" true (r = direct)) results;
-  let s = Batcher.stats b in
-  checki "every call accounted for" (domains * calls_per_domain)
-    (s.Batcher.leaders + s.Batcher.followers);
-  checkb "leaders ran" true (s.Batcher.leaders >= 1);
-  checkb "encoder cache reused" true (s.Batcher.encoder_hits >= 1);
-  (* a new generation must not share in-flight results across keys *)
-  let o1, f1 = Batcher.rank b ~generation:1 ~tuner ~inst candidates in
-  checkb "fresh generation ranks fine" true
-    (Array.map (fun i -> candidates.(i)) o1 = direct && not f1)
 
 (* ---- result cache ---- *)
 
@@ -379,12 +436,11 @@ let test_connect_backoff () =
 (* ---- server end-to-end ---- *)
 
 let start_server ?(workers = 2) ?(queue_capacity = 16) ?(conn_timeout_s = 10.)
-    ?max_connections ?warm ?neighbors ?neighbor_threshold ?obs_log ?canary_fraction dir
-    source =
+    ?max_connections ?obs_log ?canary_fraction dir source =
   let address = Protocol.Unix_path (Filename.concat dir "test.sock") in
   get
-    (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?max_connections ?warm
-       ?neighbors ?neighbor_threshold ?obs_log ?canary_fraction source)
+    (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?max_connections ?obs_log
+       ?canary_fraction source)
 
 (* A raw socket speaking the wire protocol directly — for tests that
    care about exact reply bytes, pipelined trains and connection
@@ -517,10 +573,11 @@ let test_server_rejects_malformed_line () =
 let test_server_cached_replies_byte_identical () =
   (* Every reply is a slice of a resident ranking: for every registered
      benchmark, at every interesting depth, the raw bytes must equal
-     [Protocol.encode_response] of the in-process rank prefix — on a
-     warmed server, on one that ranks each benchmark on first request,
-     and on both again after a reload to another model. *)
+     [Protocol.encode_response] of the in-process rank prefix, and a
+     [rank!]/[tune!] must get exactly the plain verb's bytes — on the
+     server as started, and again after a reload to another model. *)
   let a = Lazy.force tuner_a and b = Lazy.force tuner_b in
+  (* (plain query, bang query, expected reply) *)
   let expected tuner =
     List.concat_map
       (fun inst ->
@@ -532,6 +589,7 @@ let test_server_cached_replies_byte_identical () =
         let n = Array.length ranked in
         let rank k =
           ( Printf.sprintf "sorl1 rank %s %d" benchmark k,
+            Printf.sprintf "sorl1 rank! %s %d" benchmark k,
             Protocol.encode_response
               (Protocol.Ranked
                  {
@@ -544,88 +602,46 @@ let test_server_cached_replies_byte_identical () =
         List.map rank [ 1; 2; 3; 10; 11; n - 1; n; n + 7 ]
         @ [
             ( "sorl1 tune " ^ benchmark,
+              "sorl1 tune! " ^ benchmark,
               Protocol.encode_response
                 (Protocol.Tuned { benchmark; tuning = ranked.(0); approx = false }) );
           ])
       Benchmarks.instances
   in
-  (* [ask_all] may run on other domains; only the main domain calls
-     Alcotest. *)
-  let ask_all server queries =
-    let (_, ic, oc) as conn = raw_connect server in
-    let replies =
-      List.map
-        (fun (q, _) ->
-          output_string oc (q ^ "\n");
-          flush oc;
-          input_line ic)
-        queries
-    in
-    raw_close conn;
-    replies
-  in
   let check_all server queries =
-    List.iter2 (fun (q, want) got -> checks q want got) queries (ask_all server queries)
+    let (_, ic, oc) as conn = raw_connect server in
+    let ask q =
+      output_string oc (q ^ "\n");
+      flush oc;
+      input_line ic
+    in
+    List.iter
+      (fun (plain, bang, want) ->
+        let got = ask plain in
+        checks plain want got;
+        checks (bang ^ " = " ^ plain) got (ask bang))
+      queries;
+    raw_close conn
   in
   let stats server = get (Client.with_connection (Server.address server) Client.stats) in
-  let benchmarks = List.length Benchmarks.instances in
   with_temp_dir @@ fun dir ->
   let store = get (Model_store.open_dir (Filename.concat dir "store")) in
   get (Model_store.save store ~name:"default" a);
   get (Model_store.save store ~name:"other" b);
-  let sub name =
-    let d = Filename.concat dir name in
-    Unix.mkdir d 0o755;
-    d
-  in
-  let warmed = start_server (sub "w") (Server.Store (store, "default")) in
-  let cold = start_server ~warm:false (sub "c") (Server.Store (store, "default")) in
+  let server = start_server dir (Server.Store (store, "default")) in
   let from_a = expected a in
-  let reads = List.length from_a in
-  List.iter (fun server -> check_all server from_a) [ warmed; cold ];
-  let sw = stats warmed and sc = stats cold in
-  checki "warmed: every read a slice" reads (List.assoc "result_cache_hits" sw);
-  checki "warmed: no read built a ranking" 0 (List.assoc "result_cache_misses" sw);
-  checki "warmed: one ranking per benchmark" benchmarks (List.assoc "result_cache_entries" sw);
-  checki "cold: first read of each benchmark built it" benchmarks
-    (List.assoc "result_cache_misses" sc);
-  checki "cold: the rest were slices" (reads - benchmarks) (List.assoc "result_cache_hits" sc);
-  checki "cold: one build per benchmark" benchmarks (List.assoc "rank_leaders" sc);
-  checki "cold: all resident now" benchmarks (List.assoc "result_cache_entries" sc);
-  (* a reload to a different model: replies follow the new model *)
-  List.iter
-    (fun server ->
-      ignore
-        (get (Client.with_connection (Server.address server) (Client.reload ~model:"other"))))
-    [ warmed; cold ];
-  checki "cold: reload retires the rankings" 0 (List.assoc "result_cache_entries" (stats cold));
+  check_all server from_a;
+  let s = stats server in
+  checki "every read a slice" (2 * List.length from_a) (List.assoc "result_cache_hits" s);
+  checki "one ranking per benchmark" 17 (List.assoc "result_cache_entries" s);
+  (* a reload to a different model: every ranking is rebuilt before
+     the reply, and replies follow the new model *)
+  ignore (get (Client.with_connection (Server.address server) (Client.reload ~model:"other")));
+  checki "reload built every ranking" 17 (List.assoc "result_cache_entries" (stats server));
   let from_b = expected b in
   checkb "the models rank differently" true (from_a <> from_b);
-  List.iter (fun server -> check_all server from_b) [ warmed; cold ];
-  checki "warmed: reload pre-built the new rankings" 0
-    (List.assoc "result_cache_misses" (stats warmed));
-  checki "cold: one build per benchmark and generation" (2 * benchmarks)
-    (List.assoc "rank_leaders" (stats cold));
-  shutdown_server warmed;
-  shutdown_server cold;
-  (* concurrent first requests wait for the one build; each reload
-     (same model, new generation) starts another race *)
-  let racing = start_server ~workers:4 ~warm:false (sub "r") (Server.Store (store, "default")) in
-  let tunes = List.filter (fun (q, _) -> String.starts_with ~prefix:"sorl1 tune" q) from_a in
-  let clients = 4 and rounds = 5 in
-  for _ = 1 to rounds do
-    List.iter
-      (fun d -> List.iter2 (fun (q, want) got -> checks q want got) tunes (Domain.join d))
-      (List.init clients (fun _ -> Domain.spawn (fun () -> ask_all racing tunes)));
-    ignore
-      (get (Client.with_connection (Server.address racing) (Client.reload ~model:"default")))
-  done;
-  let sr = stats racing in
-  checki "racing: each ranking built once per generation" (rounds * benchmarks)
-    (List.assoc "rank_leaders" sr);
-  checki "racing: every read answered" (rounds * clients * benchmarks)
-    (List.assoc "result_cache_hits" sr + List.assoc "result_cache_misses" sr);
-  shutdown_server racing
+  check_all server from_b;
+  shutdown_server server
 
 let test_client_pipeline_in_order () =
   let tuner = Lazy.force tuner_a in
@@ -851,6 +867,29 @@ let test_server_hot_reload_under_load () =
          Ok ()));
   shutdown_server server
 
+(* Descriptors this process holds, where the OS lists them. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let test_server_start_errors_leave_nothing_open () =
+  (* a bad argument or an unloadable model is an [Error] before the
+     listener or the observation log is opened: no socket file, no
+     log directory, no leaked descriptor *)
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "test.sock" and obs = Filename.concat dir "obs" in
+  let fds = open_fds () in
+  let attempt ?(queue_capacity = 16) source =
+    Server.start ~address:(Protocol.Unix_path sock) ~workers:1 ~queue_capacity ~obs_log:obs
+      source
+  in
+  let m = get_err "queue 0" (attempt ~queue_capacity:0 (file_source dir (Lazy.force tuner_a))) in
+  checkb "names queue_capacity" true (contains ~sub:"queue_capacity" m);
+  ignore (get_err "missing model" (attempt (Server.Model_file (Filename.concat dir "absent"))));
+  checkb "no socket file" false (Sys.file_exists sock);
+  checkb "no observation log" false (Sys.file_exists obs);
+  checkb "no descriptor leaked" true (open_fds () = fds)
+
 let test_server_reload_errors_keep_old_model () =
   let a = Lazy.force tuner_a in
   let inst = Benchmarks.instance_by_name benchmark in
@@ -1073,210 +1112,24 @@ let test_server_canary_cycle_zero_torn_replies () =
       Ok ());
   shutdown_server server
 
-(* ---- near-miss reuse ---- *)
-
-let test_server_provisional_then_exact () =
-  (* One worker makes the sequencing deterministic: the ranking build
-     runs on the worker strictly after the provisional reply is written
-     and before the next batch, so the next request for that benchmark
-     must be an exact slice. *)
-  let tuner = Lazy.force tuner_a in
-  let near = "blur-1024x1024" in
-  (* [benchmark] = blur-1024x768 is its size variant *)
-  let exact_of name ~top =
-    let inst = Benchmarks.instance_by_name name in
-    Array.to_list
-      (Array.sub
-         (Sorl.Autotuner.rank tuner inst
-            (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst))))
-         0 top)
-  in
-  with_temp_dir @@ fun dir ->
-  let server = start_server ~workers:1 ~warm:false dir (file_source dir tuner) in
-  get
-    (Client.with_connection (Server.address server) (fun c ->
-         (* prime: exact rank of the neighbor populates the NN index
-            with its top-10 winners *)
-         checkb "prime = direct" true
-           (get (Client.rank c ~benchmark:near ~top:10) = exact_of near ~top:10);
-         (* a rank! on the size variant, whose ranking is not resident,
-            is answered provisionally with the neighbor's winners *)
-         let tunings, approx = get (Client.rank_approx c ~benchmark ~top:5) in
-         checkb "provisional reply flagged" true approx;
-         checkb "provisional = neighbor's winners" true (tunings = exact_of near ~top:5);
-         (* ... and its ranking is built after the reply: the same
-            request is now an exact, unflagged slice, and so is tune! *)
-         let tunings2, approx2 = get (Client.rank_approx c ~benchmark ~top:5) in
-         checkb "second ask is exact" true (not approx2);
-         checkb "built = direct" true (tunings2 = exact_of benchmark ~top:5);
-         let t0, a0 = get (Client.tune_approx c ~benchmark) in
-         checkb "tune! on a resident ranking is exact" true (not a0);
-         checkb "resident tune = direct" true
-           (Tuning.equal t0 (List.hd (exact_of benchmark ~top:1)));
-         (* tune! takes the same provisional-then-exact path, here on
-            game-of-life, whose 3x3 pattern encodes like edge's *)
-         let edge = "edge-512x512" and life = "game-of-life-512x512" in
-         ignore (get (Client.rank c ~benchmark:edge ~top:10));
-         let t1, a1 = get (Client.tune_approx c ~benchmark:life) in
-         checkb "tune! provisional" true a1;
-         checkb "provisional best = neighbor's best" true
-           (Tuning.equal t1 (List.hd (exact_of edge ~top:1)));
-         let t2, a2 = get (Client.tune_approx c ~benchmark:life) in
-         checkb "tune! settles exact" true (not a2);
-         checkb "exact tune = direct" true
-           (Tuning.equal t2 (List.hd (exact_of life ~top:1)));
-         (* plain rank never sees an approximation, even on a cold key *)
-         checkb "plain rank exact on cold key" true
-           (get (Client.rank c ~benchmark ~top:7) = exact_of benchmark ~top:7);
-         let stats = get (Client.stats c) in
-         checkb "neighbor hits counted" true (List.assoc "neighbor_hits" stats >= 2);
-         checkb "approx replies counted" true (List.assoc "approx_replies" stats >= 2);
-         checkb "index populated" true (List.assoc "neighbor_entries" stats >= 4);
-         Ok ()));
-  shutdown_server server
-
-let test_server_neighbor_reconciliation () =
-  (* For a pure rank!/tune! load over known benchmarks,
-     approx_replies + result_cache_hits + neighbor_misses accounts for
-     every request exactly once, and result_cache_misses counts the
-     requests whose ranking was not resident. *)
-  let tuner = Lazy.force tuner_a in
-  with_temp_dir @@ fun dir ->
-  let server = start_server ~workers:1 ~warm:false dir (file_source dir tuner) in
-  let a = "blur-1024x1024" and b = "blur-1024x768" in
-  get
-    (Client.with_connection (Server.address server) (fun c ->
-         let bang_requests =
-           [
-             Protocol.Rank { benchmark = a; top = 5; approx_ok = true };
-             (* not resident, empty index -> neighbor miss, exact *)
-             Protocol.Rank { benchmark = a; top = 5; approx_ok = true };
-             (* resident slice *)
-             Protocol.Rank { benchmark = b; top = 5; approx_ok = true };
-             (* not resident, neighbor hit -> approx, b built after *)
-             Protocol.Rank { benchmark = b; top = 5; approx_ok = true };
-             (* resident slice *)
-             Protocol.Tune { benchmark = b; approx_ok = true };
-             (* another depth of the same ranking: a slice too *)
-           ]
-         in
-         List.iter (fun r -> ignore (get (Client.request c r))) bang_requests;
-         let stats = get (Client.stats c) in
-         let v k = List.assoc k stats in
-         checki "approx + cache hits + neighbor misses = bang requests"
-           (List.length bang_requests)
-           (v "approx_replies" + v "result_cache_hits" + v "neighbor_misses");
-         checki "approx replies" 1 (v "approx_replies");
-         checki "resident slices" 3 (v "result_cache_hits");
-         checki "neighbor misses" 1 (v "neighbor_misses");
-         checki "not resident" 2 (v "result_cache_misses");
-         Ok ()));
-  shutdown_server server
-
-let test_server_neighbors_disabled_or_far () =
-  (* neighbors:0 switches the layer off: rank! behaves exactly like
-     rank; and with the layer on, a cross-kernel request never reuses —
-     its distance exceeds the threshold. *)
-  let tuner = Lazy.force tuner_a in
-  with_temp_dir @@ fun dir ->
-  let server =
-    start_server ~workers:1 ~warm:false ~neighbors:0 dir (file_source dir tuner)
-  in
-  get
-    (Client.with_connection (Server.address server) (fun c ->
-         ignore (get (Client.rank c ~benchmark:"blur-1024x1024" ~top:5));
-         let _, approx = get (Client.rank_approx c ~benchmark ~top:5) in
-         checkb "disabled layer never approximates" true (not approx);
-         let stats = get (Client.stats c) in
-         checkb "no neighbor stats when disabled" true
-           (not (List.mem_assoc "neighbor_hits" stats));
-         Ok ()));
-  shutdown_server server;
-  let server2 = start_server ~workers:1 ~warm:false dir (file_source dir tuner) in
-  get
-    (Client.with_connection (Server.address server2) (fun c ->
-         (* prime with a 3-D kernel, then ask for a 2-D one: far in
-            embedding space, so the reply is exact *)
-         ignore (get (Client.rank c ~benchmark:"laplacian-128x128x128" ~top:5));
-         let _, approx = get (Client.rank_approx c ~benchmark ~top:5) in
-         checkb "far instance not reused" true (not approx);
-         let stats = get (Client.stats c) in
-         checkb "counted as neighbor miss" true (List.assoc "neighbor_misses" stats >= 1);
-         Ok ()));
-  shutdown_server server2
-
-let test_server_neighbor_reload_invalidates () =
-  (* The NN index is keyed to the model generation: after a reload,
-     the old generation's winners must never feed a provisional reply. *)
-  let a = Lazy.force tuner_a in
-  with_temp_dir @@ fun dir ->
-  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
-  get (Model_store.save store ~name:"default" a);
-  get (Model_store.save store ~name:"other" (Lazy.force tuner_b));
-  let server =
-    start_server ~workers:1 ~warm:false dir (Server.Store (store, "default"))
-  in
-  get
-    (Client.with_connection (Server.address server) (fun c ->
-         ignore (get (Client.rank c ~benchmark:"blur-1024x1024" ~top:10));
-         let _, approx = get (Client.rank_approx c ~benchmark ~top:5) in
-         checkb "neighbor served before reload" true approx;
-         ignore (get (Client.reload ~model:"other" c));
-         (* the index was dropped with the old generation, so the next
-            rank! on a fresh benchmark finds no neighbor *)
-         let tunings, approx2 = get (Client.rank_approx c ~benchmark:"edge-512x512" ~top:5) in
-         checkb "no stale neighbor after reload" true (not approx2);
-         checki "exact reply length" 5 (List.length tunings);
-         let stats = get (Client.stats c) in
-         checkb "index restarted" true (List.assoc "neighbor_entries" stats <= 2);
-         Ok ()));
-  shutdown_server server
-
-let test_server_neighbor_concurrent_mixed_load () =
-  (* Concurrent clients mixing plain and bang verbs: every reply
-     parses, plain replies are never flagged approximate, and every
-     rank body - provisional or exact - is a well-formed top-5. *)
-  let tuner = Lazy.force tuner_a in
-  with_temp_dir @@ fun dir ->
-  let server = start_server ~workers:2 ~warm:false dir (file_source dir tuner) in
-  let pairs = [| ("blur-1024x1024", "blur-1024x768"); ("edge-512x512", "edge-1024x1024") |] in
-  let failures = Atomic.make 0 in
-  let spawned =
-    List.init 4 (fun i ->
-        Domain.spawn (fun () ->
-            let prime, variant = pairs.(i mod Array.length pairs) in
-            match
-              Client.with_connection (Server.address server) (fun c ->
-                  for _ = 1 to 5 do
-                    (match Client.rank c ~benchmark:prime ~top:5 with
-                    | Ok l when List.length l = 5 -> ()
-                    | _ -> Atomic.incr failures);
-                    match Client.rank_approx c ~benchmark:variant ~top:5 with
-                    | Ok (l, _) when List.length l = 5 -> ()
-                    | _ -> Atomic.incr failures
-                  done;
-                  Ok ())
-            with
-            | Ok () -> ()
-            | Error _ -> Atomic.incr failures))
-  in
-  List.iter Domain.join spawned;
-  checki "no torn or malformed replies" 0 (Atomic.get failures);
-  shutdown_server server
-
 let suite =
   [
     Alcotest.test_case "protocol request roundtrip" `Quick test_protocol_request_roundtrip;
     Alcotest.test_case "protocol response roundtrip" `Quick test_protocol_response_roundtrip;
     Alcotest.test_case "protocol rejects malformed frames" `Quick test_protocol_malformed;
     Alcotest.test_case "protocol addresses" `Quick test_protocol_addresses;
+    Alcotest.test_case "protocol: approx flags roundtrip, byte-compat" `Quick
+      test_protocol_approx_roundtrip;
+    Alcotest.test_case "protocol: strict vs lenient flags" `Quick
+      test_protocol_strict_vs_lenient;
     Alcotest.test_case "autotuner load is defensive" `Quick test_load_errors;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store rejects corruption" `Quick test_store_rejects_corruption;
     Alcotest.test_case "store name validation" `Quick test_store_names;
-    Alcotest.test_case "batcher coalesces identical queries" `Quick test_batcher_coalesces;
     Alcotest.test_case "result cache: lru, generations, env, disable" `Quick
       test_result_cache;
+    Alcotest.test_case "result cache: evictions, per-generation" `Quick
+      test_result_cache_evictions_and_generations;
     Alcotest.test_case "write_all bounded by timeout" `Quick
       test_write_all_bounded_by_timeout;
     Alcotest.test_case "connect: typed errors, bounded backoff" `Quick
@@ -1299,20 +1152,12 @@ let suite =
       test_server_sheds_excess_connections;
     Alcotest.test_case "busy backpressure" `Slow test_server_busy_backpressure;
     Alcotest.test_case "hot reload under load" `Slow test_server_hot_reload_under_load;
+    Alcotest.test_case "start errors leave nothing open" `Quick
+      test_server_start_errors_leave_nothing_open;
     Alcotest.test_case "failed reload keeps the old model" `Quick
       test_server_reload_errors_keep_old_model;
     Alcotest.test_case "learning verbs without a log are typed errors" `Quick
       test_server_without_obs_log;
     Alcotest.test_case "canary cycle: zero torn replies under load" `Slow
       test_server_canary_cycle_zero_torn_replies;
-    Alcotest.test_case "neighbor: provisional then exact back-fill" `Quick
-      test_server_provisional_then_exact;
-    Alcotest.test_case "neighbor: counters reconcile with requests" `Quick
-      test_server_neighbor_reconciliation;
-    Alcotest.test_case "neighbor: disabled or out of range" `Quick
-      test_server_neighbors_disabled_or_far;
-    Alcotest.test_case "neighbor: reload drops the index" `Quick
-      test_server_neighbor_reload_invalidates;
-    Alcotest.test_case "neighbor: concurrent mixed load" `Slow
-      test_server_neighbor_concurrent_mixed_load;
   ]
