@@ -2052,7 +2052,7 @@ let online_learn () =
     match
       Sorl_serve.Fleet.start ~dir:(Filename.concat dir "fleet") ~shards:1 ~workers:2
         ~conn_timeout_s:30.
-        ~obs_dir:(Filename.concat dir "obs") ~canary_fraction:1.
+        ~obs_dir:(Filename.concat dir "obs")
         (Sorl_serve.Server.Store (store, "default"))
     with
     | Ok f -> f
@@ -2164,8 +2164,9 @@ let online_learn () =
       Printf.printf "WARNING: canary failed: %s\n" m;
       false
   in
-  (* Guaranteed shadow traffic: with canary_fraction 1 every rank also
-     scores the candidate off the reply path. *)
+  (* Guaranteed shadow traffic: every rank while a canary is loaded
+     compares the stable and candidate rankings' prefixes before its
+     reply is written. *)
   (match Sorl_serve.Client.connect ~retry_for_s:5. router_addr with
   | Error _ -> ()
   | Ok c ->

@@ -471,19 +471,15 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "obs-fsync" ] ~doc)
   in
-  let canary_fraction_arg =
-    let doc = "Fraction of rank/tune traffic shadow-scored while a canary is loaded." in
-    Arg.(value & opt float 1. & info [ "canary-fraction" ] ~docv:"F" ~doc)
-  in
   let run listen model_file store name workers queue timeout max_conns obs_log obs_roll
-      obs_fsync canary_fraction trace trace_out =
+      obs_fsync trace trace_out =
     Result.bind (resolve_source ~model_file ~store ~name) @@ fun source ->
     with_trace trace trace_out @@ fun ~tracing:_ () ->
     match
       Sorl_serve.Server.start ~address:listen ?workers ~queue_capacity:queue
         ~conn_timeout_s:timeout ~max_connections:max_conns ?obs_log ?obs_roll
         ?obs_fsync:(if obs_fsync then Some true else None)
-        ~canary_fraction source
+        source
     with
     | Error m -> Error (`Msg m)
     | Ok server ->
@@ -500,7 +496,7 @@ let serve_cmd =
       term_result
         (const run $ listen_arg $ model_file_arg $ store_arg $ name_arg $ workers_arg
         $ queue_arg $ timeout_s_arg $ max_conns_arg $ obs_log_arg $ obs_roll_arg
-        $ obs_fsync_arg $ canary_fraction_arg $ trace_arg $ trace_out_arg))
+        $ obs_fsync_arg $ trace_arg $ trace_out_arg))
 
 let fleet_cmd =
   let listen_arg =

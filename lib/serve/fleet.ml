@@ -32,7 +32,7 @@ let field k v = k ^ "=" ^ v
 let sep = '\x1f'
 
 let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?obs_log
-    ?obs_roll ?obs_fsync ?canary_fraction source =
+    ?obs_roll ?obs_fsync source =
   let opt k to_s v = Option.map (fun v -> field k (to_s v)) v in
   let fields =
     [
@@ -53,7 +53,6 @@ let encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connectio
       opt "obs" Fun.id obs_log;
       opt "obsroll" string_of_int obs_roll;
       opt "obsfsync" string_of_bool obs_fsync;
-      opt "canary" string_of_float canary_fraction;
     ]
   in
   String.concat (String.make 1 sep) (List.filter_map Fun.id fields)
@@ -108,7 +107,6 @@ let maybe_shard_main () =
          ?obs_log:(get "obs")
          ?obs_roll:(opt_of "obsroll" int_of_string_opt "obsroll")
          ?obs_fsync:(opt_of "obsfsync" bool_of_string_opt "obsfsync")
-         ?canary_fraction:(opt_of "canary" float_of_string_opt "canary")
          source
      with
     | Ok server ->
@@ -201,8 +199,7 @@ let wait_ready ~deadline sh =
   go ()
 
 let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?max_connections
-    ?obs_dir ?obs_roll ?obs_fsync ?canary_fraction
-    ?(ready_timeout_s = 10.) source =
+    ?obs_dir ?obs_roll ?obs_fsync ?(ready_timeout_s = 10.) source =
   if n < 1 then Error "Fleet.start: shards must be >= 1"
   else begin
     mkdir_p dir;
@@ -215,8 +212,8 @@ let start ~dir ~shards:n ?(workers = 1) ?queue_capacity ?conn_timeout_s ?max_con
           obs_dir
       in
       let spec =
-        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?obs_log ?obs_roll ?obs_fsync ?canary_fraction
-          source
+        encode_spec ~address ~workers ?queue_capacity ?conn_timeout_s ?max_connections ?obs_log
+          ?obs_roll ?obs_fsync source
       in
       { address; pid = spawn_shard spec; reaped = false }
     in

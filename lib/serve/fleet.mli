@@ -5,8 +5,7 @@
     ...), and blocks until every shard answers an [info] probe — so a
     caller can hand the addresses straight to {!Router.start} knowing
     the fleet is live.  Separate {e processes}, not domains: each shard
-    gets its own GC, its own rankings and batcher (kept hot for its
-    slice of traffic by the router's consistent hashing), and a
+    gets its own GC, its own resident rankings, and a
     crash takes down one slice instead of the fleet.
 
     Shards are {e not} forked — OCaml 5 forbids [Unix.fork] in any
@@ -47,7 +46,6 @@ val start :
   ?obs_dir:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->
-  ?canary_fraction:float ->
   ?ready_timeout_s:float ->
   Server.source ->
   (t, string) result
@@ -62,8 +60,7 @@ val start :
     ([shard0.obs], [shard1.obs], ...) — the router routes [observe] by
     benchmark, so each log carries a disjoint slice; replaying all of
     them reassembles the fleet's measurements.  [obs_roll] /
-    [obs_fsync] and [canary_fraction] are passed through to each
-    shard.  Fails (and reaps any shards already
+    [obs_fsync] are passed through to each shard.  Fails (and reaps any shards already
     spawned) if a shard does not answer an [info] probe within
     [ready_timeout_s] (default 10). *)
 

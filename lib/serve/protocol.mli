@@ -68,14 +68,15 @@
     the server's append-only observation log ({!Obs_log}); the reply
     carries the log's total record count.  [err no-log] when the
     server was started without a log.  [canary <model>] loads a store
-    entry as a {e shadow} model: replies stay byte-identical to the
-    stable generation, but a configurable fraction of rank/tune
-    traffic is re-scored by the candidate off the reply path and
-    agreement is accumulated in the [canary_*] stats.  [promote] then
-    compares stable and candidate on the held-out slice of the
-    observation log and either installs the candidate through the
-    hot-reload path ([ok promote <model> <generation>]) or rolls it
-    back and quarantines the name ([err canary-rejected ...], the
+    entry and builds its rankings as a {e shadow} model: replies stay
+    byte-identical to the stable generation, and every rank/tune
+    compares the first entries of the stable and candidate rankings
+    before its reply is written, accumulating agreement in the
+    [canary_*] stats.  [promote] then compares stable and candidate
+    on the held-out slice of the observation log and either swaps the
+    built candidate in through the hot-reload path
+    ([ok promote <model> <generation>]) or rolls it back and
+    quarantines the name ([err canary-rejected ...], the
     decision visible in [canary_rollbacks]/[canary_tau_*]).
 
     {2 Stats keys}
@@ -89,7 +90,8 @@
     resident in the current generation), and online learning ([observations] — records
     appended by this process, [obs_log_records] — complete records in
     the log including recovered ones, [canary_active],
-    [canary_shadowed], [canary_agree], [canary_disagree],
+    [canary_shadowed] — rank/tune replies compared with the canary,
+    [canary_agree], [canary_disagree],
     [canary_promotions], [canary_rollbacks], [canary_quarantined],
     [canary_tau_stable_m]/[canary_tau_candidate_m] — the last promote
     decision's mean held-out tau in thousandths, plus per-benchmark

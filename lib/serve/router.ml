@@ -244,6 +244,16 @@ let fanout_stats t =
   in
   Protocol.Stats_reply (summed @ tagged @ router_fields)
 
+(* One request to a shard out of rotation: new traffic routes past it
+   while its in-flight train drains on [m], and it is readmitted
+   whatever the outcome.  Never retried: reload and promote are not
+   idempotent, and a canary is a whole build. *)
+let drained_exchange t s req =
+  Atomic.set s.draining true;
+  Fun.protect
+    ~finally:(fun () -> Atomic.set s.draining false)
+    (fun () -> Mutex.protect s.m (fun () -> exchange ~retry:false t s req))
+
 (* Generation-coordinated rolling reload: one shard at a time is
    marked draining (new traffic routes past it), its in-flight train
    drains on the shard mutex, the reload lands atomically server-side,
@@ -263,14 +273,7 @@ let rolling_reload t ~model =
           | None -> err Protocol.Internal "empty fleet"
         else begin
           let s = t.shards.(i) in
-          Atomic.set s.draining true;
-          let result =
-            Fun.protect
-              ~finally:(fun () -> Atomic.set s.draining false)
-              (fun () ->
-                Mutex.protect s.m (fun () ->
-                    exchange ~retry:false t s (Protocol.Reload { model })))
-          in
+          let result = drained_exchange t s (Protocol.Reload { model }) in
           let stopped detail =
             Printf.sprintf "rolling reload stopped at %s (%d/%d shards done): %s" s.sname
               i n detail
@@ -286,12 +289,13 @@ let rolling_reload t ~model =
       in
       go 0 None)
 
-(* Load a candidate as shadow on every shard.  Unlike reload this does
-   not change what any shard serves, so there is nothing to roll: the
-   fanout is sequential under [reload_m] (no interleaving with a
-   promote), stops at the first failure and names the shard — shards
-   already carrying the canary keep it, which is harmless (a later
-   [canary] retries idempotently, a later [promote] decides it). *)
+(* Load and build a candidate on every shard.  It changes no served
+   bytes, but each shard's build holds its connection like a reload's
+   does, so the fanout drains one shard at a time the same way.  It is
+   sequential under [reload_m] (no interleaving with a promote), stops
+   at the first failure and names the shard — shards already carrying
+   the canary keep it, which is harmless (a later [canary] retries, a
+   later [promote] decides it). *)
 let fanout_canary t ~model =
   Mutex.protect t.reload_m (fun () ->
       Atomic.incr t.fanouts;
@@ -302,10 +306,7 @@ let fanout_canary t ~model =
           else Protocol.Canaried { model }
         else begin
           let s = t.shards.(i) in
-          let result =
-            Mutex.protect s.m (fun () ->
-                exchange ~retry:false t s (Protocol.Canary { model }))
-          in
+          let result = drained_exchange t s (Protocol.Canary { model }) in
           let stopped detail =
             Printf.sprintf "canary stopped at %s (%d/%d shards done): %s" s.sname i n
               detail
@@ -338,13 +339,7 @@ let rolling_promote t =
           | None -> err Protocol.Internal "empty fleet"
         else begin
           let s = t.shards.(i) in
-          Atomic.set s.draining true;
-          let result =
-            Fun.protect
-              ~finally:(fun () -> Atomic.set s.draining false)
-              (fun () ->
-                Mutex.protect s.m (fun () -> exchange ~retry:false t s Protocol.Promote))
-          in
+          let result = drained_exchange t s Protocol.Promote in
           let stopped detail =
             Printf.sprintf "rolling promote stopped at %s (%d/%d shards done): %s"
               s.sname i n detail

@@ -43,16 +43,18 @@
       converges shard by shard.  A failure stops the roll and reports
       which shard, leaving earlier shards on the new model.
     - [canary <model>]: fan-out under the reload lock; every shard
-      loads the candidate as its shadow model.  Loading changes no
-      served bytes, so there is nothing to roll — a failure stops the
-      fanout and names the shard (shards already carrying the canary
-      keep it; re-issuing [canary] is idempotent).
+      loads the candidate and builds its rankings without serving
+      them.  Each shard is drained for its build, as for [reload],
+      though no served bytes change — a failure stops the fanout and
+      names the shard (shards already carrying the canary keep it;
+      re-issuing [canary] replaces it).
     - [promote]: rolling, shard by shard like [reload] — each shard is
       drained, decides its own promote against its own observation
-      log's held-out slice, and is readmitted.  A shard's rejection
-      ([err canary-rejected]) stops the roll and surfaces as the
-      router's reply, leaving earlier shards on the promoted
-      generation.
+      log's held-out slice, swaps the built candidate in, and is
+      readmitted.  The drain covers only the decision and the swap,
+      not a build.  A shard's rejection ([err canary-rejected]) stops
+      the roll and surfaces as the router's reply, leaving earlier
+      shards on the promoted generation.
     - [shutdown]: stops the router (shards are owned by their
       supervisor — {!Fleet.stop} or the operator — not by the router).
 *)

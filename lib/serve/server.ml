@@ -28,17 +28,6 @@ type loaded = {
   rankings : ranking array;
 }
 
-(* A candidate generation under canary: loaded from the store but
-   never on the reply path.  A sampled fraction of rank/tune traffic is
-   re-scored by [cn_tuner] strictly after the stable reply is written
-   (the backfill mechanism), accumulating agreement telemetry until a
-   [promote] decides its fate. *)
-type canary = {
-  cn_name : string;
-  cn_tuner : Sorl.Autotuner.t;
-  cn_tick : int Atomic.t;  (** sampling clock: every [canary_every]-th rank/tune *)
-}
-
 type t = {
   address : Protocol.address;
   source : source;
@@ -47,9 +36,10 @@ type t = {
   observations : int Atomic.t;  (** records appended by this process *)
   holdout : float;  (** held-out fraction for promote decisions *)
   holdout_seed : int;
-  canary_every : int;  (** shadow every Nth rank/tune while a canary is loaded *)
-  canary : canary option Atomic.t;
-  quarantined : (string, unit) Hashtbl.t;  (** rolled-back names; guarded by [reload_m] *)
+  canary : loaded option Atomic.t;
+      (** a candidate's snapshot, built whole but not live: it answers
+          no request, only shadows the stable rankings until [promote] *)
+  quarantined : string list Atomic.t;  (** rolled-back names; written under [reload_m] *)
   canary_shadowed : int Atomic.t;
   canary_agree : int Atomic.t;
   canary_disagree : int Atomic.t;
@@ -57,9 +47,9 @@ type t = {
   canary_rollbacks : int Atomic.t;
   canary_tau_stable_m : int Atomic.t;  (** last decision's stable tau, thousandths *)
   canary_tau_candidate_m : int Atomic.t;
-  canary_bm_m : Mutex.t;  (** guards [canary_bm] *)
-  canary_bm : (string, int ref * int ref) Hashtbl.t;
-      (** benchmark -> (agree, disagree) over the server's lifetime *)
+  canary_bm_agree : int Atomic.t array;
+      (** per benchmark position in [instances], over the server's lifetime *)
+  canary_bm_disagree : int Atomic.t array;
   grid2 : grid;
   grid3 : grid;
   hits : int Atomic.t;  (** rank/tune replies sliced from a resident ranking *)
@@ -192,12 +182,14 @@ let build ~grid2 ~grid3 tuner inst =
   Array.iteri (fun j x -> Bytes.set_uint16_le packed (2 * j) x) order;
   { grid; order = packed }
 
-(* A serving snapshot with every benchmark's ranking built.  Runs in
-   the caller's domain: at start on the starting domain, at reload and
-   promote on the worker that handles the request.  An exception from
-   a build propagates, so the snapshot is never installed. *)
-let snapshot ~grid2 ~grid3 ~tuner ~model_name ~generation =
-  { tuner; model_name; generation; rankings = Array.map (build ~grid2 ~grid3 tuner) instances }
+(* A serving snapshot with every benchmark's ranking built, at
+   generation 0 until [install_locked] stamps it.  Runs in the caller's
+   domain: at start on the starting domain, at reload and canary on the
+   worker that handles the request.  An exception from a build
+   propagates, so the snapshot is never installed or canaried. *)
+let snapshot ~grid2 ~grid3 ~tuner ~model_name =
+  let rankings = Array.map (build ~grid2 ~grid3 tuner) instances in
+  { tuner; model_name; generation = 0; rankings }
 
 let word r j = r.grid.words.(Bytes.get_uint16_le r.order (2 * j))
 
@@ -261,12 +253,14 @@ let handle_stats t =
           ("obs_log_segments", Sorl_learn.Obs_log.segments ol);
         ]
     in
+    (* the benchmarks shadowed at least once *)
     let per_benchmark =
-      Mutex.protect t.canary_bm_m (fun () ->
-          Hashtbl.fold
-            (fun bench (a, d) acc ->
-              ("canary_agree_" ^ bench, !a) :: ("canary_disagree_" ^ bench, !d) :: acc)
-            t.canary_bm [])
+      List.concat
+        (List.init (Array.length names) (fun i ->
+             let a = Atomic.get t.canary_bm_agree.(i)
+             and d = Atomic.get t.canary_bm_disagree.(i) in
+             if a + d = 0 then []
+             else [ ("canary_agree_" ^ names.(i), a); ("canary_disagree_" ^ names.(i), d) ]))
       |> List.sort compare
     in
     obs_kvs
@@ -277,7 +271,7 @@ let handle_stats t =
         ("canary_disagree", Atomic.get t.canary_disagree);
         ("canary_promotions", Atomic.get t.canary_promotions);
         ("canary_rollbacks", Atomic.get t.canary_rollbacks);
-        ("canary_quarantined", Mutex.protect t.reload_m (fun () -> Hashtbl.length t.quarantined));
+        ("canary_quarantined", List.length (Atomic.get t.quarantined));
         ("canary_tau_stable_m", Atomic.get t.canary_tau_stable_m);
         ("canary_tau_candidate_m", Atomic.get t.canary_tau_candidate_m);
       ]
@@ -302,15 +296,8 @@ let handle_stats t =
 
 (* [reply] appends the reply line, without its newline, to the worker's
    output buffer: a deep slice (about 150 KB at full depth) goes from
-   the ranking into the write with no intermediate string.  [backfill],
-   when set, is canary shadow work the worker runs only {e after} the
-   batch's replies are written, so it never delays a reply. *)
-type outcome = {
-  reply : Buffer.t -> unit;
-  error : bool;
-  bye : bool;
-  backfill : (unit -> unit) option;
-}
+   the ranking into the write with no intermediate string. *)
+type outcome = { reply : Buffer.t -> unit; error : bool; bye : bool }
 
 let outcome_of_response response =
   let line = Protocol.encode_response response in
@@ -318,36 +305,39 @@ let outcome_of_response response =
     reply = (fun b -> Buffer.add_string b line);
     error = (match response with Protocol.Error _ -> true | _ -> false);
     bye = response = Protocol.Bye;
-    backfill = None;
   }
 
-(* Install a new serving snapshot.  Must be called holding [reload_m];
-   shared by [reload] and a successful [promote], so a promoted canary
-   goes live through exactly the hot-swap path reload exercises —
-   generation bump, rankings built, atomic snapshot swap, all before
-   the reply is on the wire.  Until the swap the old snapshot keeps
-   serving; the retired one's rankings go with it.  A failed build
-   raises before the swap, so the request gets [err internal] and the
-   old snapshot stays live. *)
-let install_locked t ~tuner ~model_name =
+(* Install a built serving snapshot, stamped with the next generation.
+   Must be called holding [reload_m]; shared by [reload] and a
+   successful [promote], so a promoted canary goes live through exactly
+   the hot-swap path reload exercises, before the reply is on the wire.
+   Until the swap the old snapshot keeps serving; the retired one's
+   rankings go with it. *)
+let install_locked t s =
   let generation = (Atomic.get t.current).generation + 1 in
-  Atomic.set t.current
-    (snapshot ~grid2:t.grid2 ~grid3:t.grid3 ~tuner ~model_name ~generation);
+  Atomic.set t.current { s with generation };
   Atomic.incr t.reloads;
   Sorl_util.Telemetry.incr reloads_counter;
   generation
 
+(* The build runs before [install_locked]: one that raises leaves the
+   old snapshot live, and the request gets [err internal]. *)
 let handle_reload t ~model =
   Mutex.protect t.reload_m (fun () ->
       match load_source t.source ~name:model with
       | Error (code, msg) -> err code msg
       | Ok (tuner, model_name) ->
-        let generation = install_locked t ~tuner ~model_name in
+        let generation =
+          install_locked t (snapshot ~grid2:t.grid2 ~grid3:t.grid3 ~tuner ~model_name)
+        in
         Protocol.Reloaded { model = model_name; generation })
 
+(* Load and build the candidate's whole snapshot, with the same code
+   reload uses, and hold it beside the live one; it replaces any
+   earlier canary.  A failed build leaves the earlier canary loaded. *)
 let handle_canary t ~model =
   Mutex.protect t.reload_m (fun () ->
-      if Hashtbl.mem t.quarantined model then
+      if List.mem model (Atomic.get t.quarantined) then
         err Protocol.Canary_rejected
           (Printf.sprintf "model %S was rolled back and is quarantined; publish a new generation"
              model)
@@ -360,16 +350,17 @@ let handle_canary t ~model =
           | Error msg -> err Protocol.Store msg
           | Ok tuner ->
             Atomic.set t.canary
-              (Some { cn_name = model; cn_tuner = tuner; cn_tick = Atomic.make 0 });
+              (Some (snapshot ~grid2:t.grid2 ~grid3:t.grid3 ~tuner ~model_name:model));
             Protocol.Canaried { model }))
 
 (* Decide the loaded canary on the observation log's held-out slice:
    the same deterministic split the trainer used, so the candidate is
    judged on records it never trained on.  Promotion requires the
    candidate's mean per-benchmark Kendall tau to be no worse than the
-   stable generation's; otherwise the candidate is dropped and its
-   name quarantined so a republished generation (not the same bytes)
-   is needed to try again. *)
+   stable generation's, and then its already built snapshot is swapped
+   in; otherwise the candidate is dropped and its name quarantined so
+   a republished generation (not the same bytes) is needed to try
+   again. *)
 let handle_promote t =
   Mutex.protect t.reload_m (fun () ->
       match Atomic.get t.canary with
@@ -390,51 +381,80 @@ let handle_promote t =
             let stable = Atomic.get t.current in
             match
               ( Sorl_learn.Trainer.holdout_tau stable.tuner held,
-                Sorl_learn.Trainer.holdout_tau cn.cn_tuner held )
+                Sorl_learn.Trainer.holdout_tau cn.tuner held )
             with
             | Some st, Some ct ->
               let milli x = int_of_float (Float.round (x *. 1000.)) in
               Atomic.set t.canary_tau_stable_m (milli st);
               Atomic.set t.canary_tau_candidate_m (milli ct);
               if Sorl_learn.Trainer.no_worse ~stable:st ~candidate:ct then begin
-                let generation = install_locked t ~tuner:cn.cn_tuner ~model_name:cn.cn_name in
+                let generation = install_locked t cn in
                 Atomic.set t.canary None;
                 Atomic.incr t.canary_promotions;
                 Sorl_util.Telemetry.incr canary_promotions_counter;
-                Protocol.Promoted { model = cn.cn_name; generation }
+                Protocol.Promoted { model = cn.model_name; generation }
               end
               else begin
                 Atomic.set t.canary None;
-                Hashtbl.replace t.quarantined cn.cn_name ();
+                Atomic.set t.quarantined (cn.model_name :: Atomic.get t.quarantined);
                 Atomic.incr t.canary_rollbacks;
                 Sorl_util.Telemetry.incr canary_rollbacks_counter;
                 err Protocol.Canary_rejected
                   (Printf.sprintf
                      "candidate %s held-out tau %.4f is worse than stable %.4f; rolled back and \
                       quarantined"
-                     cn.cn_name ct st)
+                     cn.model_name ct st)
               end
             | _ ->
               err Protocol.Canary_rejected
                 "not enough held-out observations to compare (each benchmark needs >= 2 records \
                  with distinct costs)"))))
 
+(* Shadow agreement, recorded before the reply is written: does the
+   canary's ranking of benchmark [i] start with the same [k] entries as
+   the stable one?  A reply of depth [k] is the first [k] of its
+   model's ranking, so this is the verdict re-scoring the reply with
+   the candidate would give, in O(k) bytes. *)
+let shadow t stable cn i ~k =
+  let a = stable.rankings.(i).order and b = cn.rankings.(i).order in
+  let rec same j =
+    j = k || (Bytes.get_uint16_le a (2 * j) = Bytes.get_uint16_le b (2 * j) && same (j + 1))
+  in
+  let agreed = same 0 in
+  Atomic.incr t.canary_shadowed;
+  Sorl_util.Telemetry.incr canary_shadowed_counter;
+  if agreed then begin
+    Atomic.incr t.canary_agree;
+    Sorl_util.Telemetry.incr canary_agree_counter;
+    Atomic.incr t.canary_bm_agree.(i)
+  end
+  else begin
+    Atomic.incr t.canary_disagree;
+    Sorl_util.Telemetry.incr canary_disagree_counter;
+    Atomic.incr t.canary_bm_disagree.(i)
+  end
+
 (* rank/tune, with or without [!]: a slice of the benchmark's resident
-   ranking. *)
-let from_ranking t snapshot ~benchmark reply_of =
+   ranking, [top] deep. *)
+let from_ranking t snapshot ~benchmark ~top reply_of =
   match bench_index benchmark with
   | None ->
     outcome_of_response
       (err Protocol.No_benchmark (Printf.sprintf "unknown benchmark %S" benchmark))
   | Some i ->
     Atomic.incr t.hits;
-    { reply = reply_of snapshot.rankings.(i); error = false; bye = false; backfill = None }
+    let r = snapshot.rankings.(i) in
+    (match Atomic.get t.canary with
+    | None -> ()
+    | Some cn -> shadow t snapshot cn i ~k:(min top (Bytes.length r.order / 2)));
+    { reply = reply_of r; error = false; bye = false }
 
 let dispatch t snapshot request =
   match request with
   | Protocol.Rank { benchmark; top; _ } ->
-    from_ranking t snapshot ~benchmark (rank_reply ~benchmark ~top)
-  | Protocol.Tune { benchmark; _ } -> from_ranking t snapshot ~benchmark (tune_reply ~benchmark)
+    from_ranking t snapshot ~benchmark ~top (rank_reply ~benchmark ~top)
+  | Protocol.Tune { benchmark; _ } ->
+    from_ranking t snapshot ~benchmark ~top:1 (tune_reply ~benchmark)
   | Protocol.Observe { benchmark; tuning; cost } ->
     outcome_of_response (handle_observe t ~benchmark ~tuning ~cost)
   | Protocol.Info -> outcome_of_response (handle_info t)
@@ -446,81 +466,6 @@ let dispatch t snapshot request =
     Atomic.set t.stopping true;
     outcome_of_response Protocol.Bye
 
-(* ---- canary shadow scoring ---- *)
-
-(* Decide whether this request is a shadow sample: a canary is loaded
-   and the sampling clock (every [canary_every]-th rank/tune, counting
-   every reply — the canary must see the real traffic mix) fires. *)
-let shadow_probe t request =
-  match Atomic.get t.canary with
-  | None -> None
-  | Some cn -> (
-    match request with
-    | Protocol.Rank { benchmark; _ } | Protocol.Tune { benchmark; _ } ->
-      let n = Atomic.fetch_and_add cn.cn_tick 1 in
-      if n mod t.canary_every = 0 then Some (cn, benchmark) else None
-    | _ -> None)
-
-let shadow_record t ~benchmark ~agreed =
-  Atomic.incr t.canary_shadowed;
-  Sorl_util.Telemetry.incr canary_shadowed_counter;
-  if agreed then begin
-    Atomic.incr t.canary_agree;
-    Sorl_util.Telemetry.incr canary_agree_counter
-  end
-  else begin
-    Atomic.incr t.canary_disagree;
-    Sorl_util.Telemetry.incr canary_disagree_counter
-  end;
-  Mutex.protect t.canary_bm_m (fun () ->
-      let a, d =
-        match Hashtbl.find_opt t.canary_bm benchmark with
-        | Some cell -> cell
-        | None ->
-          let cell = (ref 0, ref 0) in
-          Hashtbl.replace t.canary_bm benchmark cell;
-          cell
-      in
-      incr (if agreed then a else d))
-
-(* Re-score a sampled request with the candidate and compare against
-   the stable reply's tunings (parsed back from the bytes that
-   actually went out).  Runs strictly after the reply is written —
-   never on the reply path. *)
-let shadow_work t cn ~benchmark reply =
-  match Sorl_stencil.Benchmarks.instance_by_name benchmark with
-  | exception Not_found -> ()
-  | inst -> (
-    let compare_top stable_tunings =
-      let k = List.length stable_tunings in
-      if k > 0 then begin
-        let cand = Sorl.Autotuner.top_k cn.cn_tuner inst ~k in
-        let agreed =
-          Array.length cand = k
-          && List.for_all2 Tuning.equal (Array.to_list cand) stable_tunings
-        in
-        shadow_record t ~benchmark ~agreed
-      end
-    in
-    match Protocol.parse_response reply with
-    | Ok (Protocol.Ranked { tunings; _ }) -> compare_top tunings
-    | Ok (Protocol.Tuned { tuning; _ }) -> compare_top [ tuning ]
-    | Ok _ | Error _ -> ())
-
-let reply_for t snapshot request =
-  let o = dispatch t snapshot request in
-  match shadow_probe t request with
-  | None -> o
-  | Some _ when o.error -> o
-  | Some (cn, benchmark) ->
-    let work () =
-      (* the same bytes the worker wrote: [o.reply] renders immutable data *)
-      let b = Buffer.create 256 in
-      o.reply b;
-      shadow_work t cn ~benchmark (Buffer.contents b)
-    in
-    { o with backfill = Some work }
-
 let handle_line t line =
   Atomic.incr t.requests;
   Sorl_util.Telemetry.incr requests_counter;
@@ -530,7 +475,7 @@ let handle_line t line =
         | Error msg -> outcome_of_response (err Protocol.Bad_request msg)
         | Ok request -> (
           let snapshot = Atomic.get t.current in
-          match reply_for t snapshot request with
+          match dispatch t snapshot request with
           | outcome -> outcome
           | exception e -> outcome_of_response (err Protocol.Internal (Printexc.to_string e))))
   in
@@ -557,7 +502,6 @@ let worker_loop t reactor =
         | Some { Reactor.conn; lines } ->
           Buffer.clear buf;
           let bye = ref false in
-          let backfills = ref [] in
           List.iter
             (fun line ->
               (* Requests pipelined behind a shutdown are not served:
@@ -568,7 +512,6 @@ let worker_loop t reactor =
                 in
                 o.reply buf;
                 Buffer.add_char buf '\n';
-                (match o.backfill with Some f -> backfills := f :: !backfills | None -> ());
                 if o.bye then bye := true
               end)
             lines;
@@ -577,24 +520,19 @@ let worker_loop t reactor =
               (Buffer.contents buf)
           in
           Reactor.complete reactor conn ~close:(!bye || Result.is_error wrote);
-          (* The replies are on the wire; now the canary shadow work.
-             A failure only loses that sample. *)
-          List.iter (fun f -> try f () with _ -> ()) (List.rev !backfills);
           loop ()
       in
       loop ())
 
 let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity = 64)
     ?(conn_timeout_s = 10.) ?(max_connections = 512) ?obs_log ?obs_roll ?obs_fsync
-    ?(canary_fraction = 1.) ?(holdout = Sorl_learn.Trainer.default_holdout)
+    ?(holdout = Sorl_learn.Trainer.default_holdout)
     ?(holdout_seed = Sorl_learn.Trainer.default_seed) source =
   let workers =
     match workers with Some w -> w | None -> Sorl_util.Pool.default_domains ()
   in
   if workers < 1 then Error "Server.start: workers must be >= 1"
   else if queue_capacity < 1 then Error "Server.start: queue_capacity must be >= 1"
-  else if not (Float.is_finite canary_fraction) || canary_fraction <= 0. || canary_fraction > 1.
-  then Error "Server.start: canary_fraction must be in (0, 1]"
   else if not (Float.is_finite holdout) || holdout < 0. || holdout >= 1. then
     Error "Server.start: holdout must be in [0, 1)"
   else
@@ -608,7 +546,7 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
       (* Built before accepting: the first query of every benchmark is
          already a slice. *)
       let* initial =
-        match snapshot ~grid2 ~grid3 ~tuner ~model_name ~generation:0 with
+        match snapshot ~grid2 ~grid3 ~tuner ~model_name with
         | s -> Ok s
         | exception e -> Error ("Server.start: ranking build: " ^ Printexc.to_string e)
       in
@@ -630,10 +568,6 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
     | Ok (initial, obs, (listen_fd, address)) ->
       (* A client vanishing mid-reply must not kill the server. *)
       (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-      let canary_every =
-        if canary_fraction >= 1. then 1
-        else max 1 (int_of_float (Float.round (1. /. canary_fraction)))
-      in
       let t =
         {
           address;
@@ -643,9 +577,8 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
           observations = Atomic.make 0;
           holdout;
           holdout_seed;
-          canary_every;
           canary = Atomic.make None;
-          quarantined = Hashtbl.create 8;
+          quarantined = Atomic.make [];
           canary_shadowed = Atomic.make 0;
           canary_agree = Atomic.make 0;
           canary_disagree = Atomic.make 0;
@@ -653,8 +586,8 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
           canary_rollbacks = Atomic.make 0;
           canary_tau_stable_m = Atomic.make 0;
           canary_tau_candidate_m = Atomic.make 0;
-          canary_bm_m = Mutex.create ();
-          canary_bm = Hashtbl.create 32;
+          canary_bm_agree = Array.map (fun _ -> Atomic.make 0) names;
+          canary_bm_disagree = Array.map (fun _ -> Atomic.make 0) names;
           grid2;
           grid3;
           hits = Atomic.make 0;

@@ -11,8 +11,8 @@
     worker pool.  Requests a client pipelines (several lines buffered
     before the server reads) are answered in order with a single
     write.  Worker domains run under {!Sorl_util.Pool.serially}, so the
-    ranking builds of a [reload]/[promote] and canary shadow scoring
-    never fan out into a second level of domains.
+    ranking builds of a [reload] or [canary] never fan out into a second
+    level of domains.
 
     The hot path is a slice of a resident ranking.  Under one model,
     [rank k] is the first [k] of the benchmark's full ranking of the
@@ -24,12 +24,13 @@
     followed by the first [min k n] table entries: no scoring, no
     formatting, byte-identical to {!Protocol.encode_response}.  All
     rankings of a snapshot are built ({!Sorl_stencil.Features.compile}
-    and {!Sorl.Autotuner.rank_order}) before it goes live, at [start]
-    and at each successful [reload]/[promote], so every rank and tune
+    and {!Sorl.Autotuner.rank_order}) before it goes live, at [start],
+    [reload] and [canary], so every rank and tune
     reply — [rank!]/[tune!] included, which are answered exactly like
     the plain verbs — is a slice.  A retired generation's rankings are
     freed with its snapshot, so memory holds one ranking per benchmark
-    and live generation, whatever the traffic.
+    for the live generation and, while one is loaded, the canary,
+    whatever the traffic.
 
     The served model lives in an [Atomic.t] holding an immutable
     (tuner, name, generation) snapshot: [reload] builds the new
@@ -55,19 +56,22 @@
     serve loop's serving side.  [observe] requests append to an
     append-only, checksummed {!Sorl_learn.Obs_log} (crash-safe:
     replay recovers every complete record).  [canary <model>] loads a
-    store entry as a {e shadow} candidate: every [canary_fraction]-th
-    rank/tune request is re-scored by the candidate strictly {e after}
-    the stable reply is written (deferred work the worker runs after
-    the batch's write), so replies stay byte-identical to the
-    stable generation while [canary_agree]/[canary_disagree] and
-    per-benchmark agreement accumulate.  [promote] replays the log,
-    takes the deterministic held-out slice ({!Sorl_learn.Trainer.split}
-    with [holdout]/[holdout_seed] — the same split the trainer used, so
-    the candidate is judged on records it never trained on) and
-    compares mean per-benchmark Kendall tau: no worse installs the
-    candidate through {e exactly} the hot-reload snapshot swap (new
-    generation, rankings built); worse rolls it back and quarantines the
-    name until a new generation is published.
+    store entry and builds its whole serving snapshot with the code
+    [reload] uses, but does not make it live; a later [canary] replaces
+    it.  Replies stay byte-identical to the stable generation, and
+    every rank/tune, before its reply is written, compares the first
+    [min k n] entries (1 for tune) of the stable and candidate rankings
+    of its benchmark, counting into [canary_agree]/[canary_disagree]
+    and their per-benchmark keys.  That compare is the only canary work
+    on the reply path; with no canary loaded the cost is one atomic
+    read.  [promote] replays the log, takes the deterministic held-out
+    slice ({!Sorl_learn.Trainer.split} with [holdout]/[holdout_seed] —
+    the same split the trainer used, so the candidate is judged on
+    records it never trained on) and compares mean per-benchmark
+    Kendall tau: no worse swaps the already built candidate in through
+    {e exactly} the hot-reload install, stamped with the live
+    generation + 1; worse rolls it back and quarantines the name until
+    a new generation is published.
 
     Shutdown (the protocol request, or {!stop}) is graceful: the
     reactor stops accepting, queued batches drain, in-flight requests
@@ -110,7 +114,6 @@ val start :
   ?obs_log:string ->
   ?obs_roll:int ->
   ?obs_fsync:bool ->
-  ?canary_fraction:float ->
   ?holdout:float ->
   ?holdout_seed:int ->
   source ->
@@ -121,8 +124,8 @@ val start :
     queue capacity 64 batches, 10 s idle/write timeout, 512
     connections.  [Tcp (host, 0)] binds an ephemeral port — read the
     real one back from {!address}.  Bad arguments ([workers] or
-    [queue_capacity] below 1, [canary_fraction] or [holdout] out of
-    range), an unloadable model or a failed build return [Error] with
+    [queue_capacity] below 1, [holdout] out of range), an unloadable
+    model or a failed build return [Error] with
     no descriptor, observation-log writer or socket file left open.
 
     [obs_log] enables observation ingestion into the given segmented
@@ -134,10 +137,7 @@ val start :
     which is what lets retraining reuse per-segment encoded-feature
     caches; [obs_fsync] (default off, or [SORL_OBS_FSYNC]) fsyncs
     each seal.  Without [obs_log], [observe] and [promote] answer
-    [err no-log].  [canary_fraction] (default 1,
-    i.e. every request; must be in (0, 1]) is the fraction of
-    rank/tune traffic shadow-scored while a canary is loaded.
-    [holdout]/[holdout_seed] (defaults
+    [err no-log].  [holdout]/[holdout_seed] (defaults
     {!Sorl_learn.Trainer.default_holdout} /
     {!Sorl_learn.Trainer.default_seed}) pin the promote decision's
     held-out slice and must match the trainer's split. *)
@@ -146,7 +146,8 @@ val address : t -> Protocol.address
 (** The bound address (with the actual port for ephemeral TCP). *)
 
 val generation : t -> int
-(** Current model generation; 0 at start, +1 per successful reload. *)
+(** Current model generation; 0 at start, +1 per successful reload or
+    promote. *)
 
 val requests_served : t -> int
 

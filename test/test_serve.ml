@@ -436,11 +436,11 @@ let test_connect_backoff () =
 (* ---- server end-to-end ---- *)
 
 let start_server ?(workers = 2) ?(queue_capacity = 16) ?(conn_timeout_s = 10.)
-    ?max_connections ?obs_log ?canary_fraction dir source =
+    ?max_connections ?obs_log dir source =
   let address = Protocol.Unix_path (Filename.concat dir "test.sock") in
   get
     (Server.start ~address ~workers ~queue_capacity ~conn_timeout_s ?max_connections ?obs_log
-       ?canary_fraction source)
+       source)
 
 (* A raw socket speaking the wire protocol directly — for tests that
    care about exact reply bytes, pipelined trains and connection
@@ -1112,6 +1112,153 @@ let test_server_canary_cycle_zero_torn_replies () =
       Ok ());
   shutdown_server server
 
+(* [stats] takes no lock a build holds: while a reload builds its
+   rankings on one worker, stats on a second connection is answered by
+   the other worker before the reload's reply arrives. *)
+let test_server_stats_not_blocked_by_reload () =
+  with_temp_dir @@ fun dir ->
+  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
+  get (Model_store.save store ~name:"default" (Lazy.force tuner_a));
+  let server = start_server ~workers:2 dir (Server.Store (store, "default")) in
+  let ((reload_fd, reload_ic, reload_oc) as reloader) = raw_connect server in
+  let ((_, stats_ic, stats_oc) as stater) = raw_connect server in
+  let readable fd = match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true in
+  output_string reload_oc "sorl1 reload\n";
+  flush reload_oc;
+  (* let a worker take the reload and start its build *)
+  Unix.sleepf 0.01;
+  let answered_during_build = ref 0 in
+  while not (readable reload_fd) do
+    output_string stats_oc "sorl1 stats\n";
+    flush stats_oc;
+    (match get (Protocol.parse_response (input_line stats_ic)) with
+    | Protocol.Stats_reply _ -> ()
+    | r -> Alcotest.fail ("expected stats, got " ^ Protocol.encode_response r));
+    if not (readable reload_fd) then incr answered_during_build
+  done;
+  (match get (Protocol.parse_response (input_line reload_ic)) with
+  | Protocol.Reloaded { generation = 1; _ } -> ()
+  | r -> Alcotest.fail ("expected reload, got " ^ Protocol.encode_response r));
+  checkb "stats answered while the reload was building" true (!answered_during_build > 0);
+  raw_close reloader;
+  raw_close stater;
+  shutdown_server server
+
+(* Shadow agreement is counted exactly, before each reply is written:
+   every rank/rank!/tune while a canary is loaded is one verdict, agree
+   iff the first [min k n] entries of the two models' rankings match.
+   Then the canary's lifecycle: a second canary replaces the first, and
+   promote installs the loaded one at the live generation + 1, also
+   after a reload in between. *)
+let test_server_shadow_accounting_exact () =
+  let stable = Lazy.force tuner_a in
+  (* the stable weights, every other one nudged by 10%: the two rankings
+     share some prefixes and not others *)
+  let cand =
+    Sorl.Autotuner.of_model
+      ~mode:(Sorl.Autotuner.feature_mode stable)
+      (Sorl_svmrank.Model.create
+         (Array.mapi
+            (fun i x -> if i mod 2 = 0 then x *. 1.1 else x)
+            (Sorl.Autotuner.weights stable)))
+  in
+  let flipped =
+    Sorl.Autotuner.of_model
+      ~mode:(Sorl.Autotuner.feature_mode stable)
+      (Sorl_svmrank.Model.create (Array.map (fun x -> -.x) (Sorl.Autotuner.weights stable)))
+  in
+  with_temp_dir @@ fun dir ->
+  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
+  List.iter
+    (fun (name, tuner) -> get (Model_store.save store ~name tuner))
+    [ ("default", stable); ("cand", cand); ("flipped", flipped); ("copy", stable) ];
+  let obs_log = Filename.concat dir "observations.obs" in
+  let server = start_server ~workers:2 ~obs_log dir (Server.Store (store, "default")) in
+  let c = get (Client.connect (Server.address server)) in
+  let stats () = get (Client.stats c) in
+  let ask req =
+    match get (Client.request c req) with
+    | Protocol.Ranked _ | Protocol.Tuned _ -> ()
+    | r -> Alcotest.fail ("expected a ranking, got " ^ Protocol.encode_response r)
+  in
+  (* held-out records for the promote decisions *)
+  let inst = Benchmarks.instance_by_name benchmark in
+  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let measure = Sorl_machine.Measure.model ~noise_amplitude:0.02 ~seed:21 machine in
+  let rng = Sorl_util.Rng.create 78 in
+  for _ = 1 to 80 do
+    let tuning = set.(Sorl_util.Rng.int rng (Array.length set)) in
+    ignore
+      (get
+         (Client.observe c ~benchmark ~tuning
+            ~cost:(Sorl_machine.Measure.runtime measure inst tuning)))
+  done;
+  checks "canaried" "cand" (get (Client.canary c ~model:"cand"));
+  let agree = ref 0 and disagree = ref 0 and per_benchmark = ref [] in
+  List.iter
+    (fun inst ->
+      let name = Instance.name inst in
+      let grid = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+      let rs = Sorl.Autotuner.rank stable inst grid and rc = Sorl.Autotuner.rank cand inst grid in
+      let n = Array.length grid in
+      let a = ref 0 and d = ref 0 in
+      let verdict k =
+        let k = min k n in
+        incr (if Array.sub rs 0 k = Array.sub rc 0 k then a else d)
+      in
+      List.iter
+        (fun top ->
+          ask (Protocol.Rank { benchmark = name; top; approx_ok = false });
+          verdict top;
+          ask (Protocol.Rank { benchmark = name; top; approx_ok = true });
+          verdict top;
+          ask (Protocol.Tune { benchmark = name; approx_ok = false });
+          verdict 1)
+        [ 1; 3; 10; n; n + 7 ];
+      agree := !agree + !a;
+      disagree := !disagree + !d;
+      per_benchmark :=
+        ("canary_agree_" ^ name, !a) :: ("canary_disagree_" ^ name, !d) :: !per_benchmark)
+    Benchmarks.instances;
+  let s = stats () in
+  let v k = List.assoc k s in
+  checkb "the candidate agrees on some requests" true (!agree > 0);
+  checkb "the candidate disagrees on others" true (!disagree > 0);
+  checki "shadowed" (!agree + !disagree) (v "canary_shadowed");
+  checki "agree" !agree (v "canary_agree");
+  checki "disagree" !disagree (v "canary_disagree");
+  Alcotest.check
+    Alcotest.(list (pair string int))
+    "per-benchmark counts" (List.sort compare !per_benchmark)
+    (List.filter
+       (fun (k, _) ->
+         String.starts_with ~prefix:"canary_agree_" k
+         || String.starts_with ~prefix:"canary_disagree_" k)
+       s);
+  (* a second canary replaces the first: a full-depth rank now agrees,
+     which the flipped model never would *)
+  checks "flipped canaried" "flipped" (get (Client.canary c ~model:"flipped"));
+  checks "copy canaried" "copy" (get (Client.canary c ~model:"copy"));
+  ask (Protocol.Rank { benchmark; top = Array.length set; approx_ok = false });
+  checki "compared with the newer canary" (!agree + 1)
+    (List.assoc "canary_agree" (stats ()));
+  let model, promoted = get (Client.promote c) in
+  checks "promote installs the newer canary" "copy" model;
+  checki "at the live generation + 1" 1 promoted;
+  checks "serving the promoted model" "copy" (List.assoc "model" (get (Client.info c)));
+  (* a reload between canary and promote: promote stamps the reloaded
+     generation + 1 *)
+  checks "canaried again" "copy" (get (Client.canary c ~model:"copy"));
+  let _, reloaded = get (Client.reload ~model:"default" c) in
+  let model, promoted = get (Client.promote c) in
+  checks "promoted after reload" "copy" model;
+  checki "promote follows the reload" (reloaded + 1) promoted;
+  let s = stats () in
+  checki "promotions" 2 (List.assoc "canary_promotions" s);
+  checki "no canary left" 0 (List.assoc "canary_active" s);
+  Client.close c;
+  shutdown_server server
+
 let suite =
   [
     Alcotest.test_case "protocol request roundtrip" `Quick test_protocol_request_roundtrip;
@@ -1160,4 +1307,8 @@ let suite =
       test_server_without_obs_log;
     Alcotest.test_case "canary cycle: zero torn replies under load" `Slow
       test_server_canary_cycle_zero_torn_replies;
+    Alcotest.test_case "stats answers while a reload builds" `Quick
+      test_server_stats_not_blocked_by_reload;
+    Alcotest.test_case "canary: exact shadow accounting, replace, promote" `Slow
+      test_server_shadow_accounting_exact;
   ]
