@@ -7,8 +7,7 @@
 
    Experiments: table2 table3 fig4 fig5 fig6 fig7 ablation baselines
    extensions stability csv perf rank-throughput serve-throughput
-   cold-rank fleet-throughput micro telemetry-overhead
-   online-learn.
+   fleet-throughput micro telemetry-overhead online-learn.
    See DESIGN.md for the experiment index and EXPERIMENTS.md for the
    paper-vs-measured discussion of one full run. *)
 
@@ -987,6 +986,28 @@ let perf () =
 
 (* ---- Rank throughput: compiled fast path vs the seed paths ---- *)
 
+(* The seed path's scorer: scores a raw entry list without
+   materializing a sparse vector.  The accumulation into the scratch
+   (list order, per index) followed by a sum over the sorted touched
+   indices with zeros skipped replays the exact float operations of
+   [Sparse.of_list] + [dot_dense], so the result is bit-identical to
+   [Model.score model (Sparse.of_list ~dim entries)].  The closure owns
+   its scratch: create one scorer per domain. *)
+let entry_scorer model =
+  let w = Sorl_svmrank.Model.weights model in
+  let scratch = Array.make (Array.length w) 0. in
+  fun entries ->
+    List.iter (fun (i, x) -> scratch.(i) <- scratch.(i) +. x) entries;
+    let touched = List.sort_uniq compare (List.map fst entries) in
+    let acc = ref 0. in
+    List.iter
+      (fun i ->
+        let v = scratch.(i) in
+        if v <> 0. then acc := !acc +. (v *. w.(i));
+        scratch.(i) <- 0.)
+      touched;
+    !acc
+
 let rank_throughput () =
   header "Rank throughput: compiled encoder fast path vs entry-list seed path";
   let m = Sorl_machine.Measure.model machine in
@@ -1003,7 +1024,7 @@ let rank_throughput () =
      through the compiled encoder. *)
   let rank_seed () =
     let entries = Features.encoder_entries Features.Extended inst in
-    let score = Sorl_svmrank.Model.entry_scorer model in
+    let score = entry_scorer model in
     Sorl_svmrank.Model.sort_by_score (Array.map (fun tn -> score (entries tn)) set)
   in
   let rank_sparse () =
@@ -1330,109 +1351,6 @@ let serve_throughput () =
     (Printf.sprintf "ranking hits %d below request count %d" cache_hits hot_total);
   match !problems with
   | [] -> print_endline "OK: serve-throughput gates passed"
-  | ps ->
-    if Sys.getenv_opt "CI" <> None then
-      List.iter (fun p -> Printf.printf "WARNING: %s\n" p) ps
-    else begin
-      List.iter (fun p -> Printf.eprintf "FAIL: %s\n" p) ps;
-      exit 1
-    end
-
-(* ---- Cold-path rank: top-k selection + branch-and-bound pruning ---- *)
-
-let cold_rank () =
-  header "Cold rank: full sort vs top-k selection vs top-k + subcube pruning";
-  let m = Sorl_machine.Measure.model machine in
-  let spec = { Sorl.Training.size = 960; mode = Features.Extended; seed = 5 } in
-  let tuner = Sorl.Autotuner.train_on ~mode:Features.Extended (Sorl.Training.generate ~spec m) in
-  let model = Sorl.Autotuner.model tuner in
-  let k = 3 in
-  let problems = ref [] in
-  let flag cond msg = if cond then problems := msg :: !problems in
-  (* ---- in-process: three implementations of "best k of the grid".
-     [full] is the seed path (encode + sort all n), [sel] swaps the
-     sort for a bounded heap but still scores everything, [pruned] is
-     the shipped path: branch-and-bound over block subcubes with
-     reused scratch. ---- *)
-  let scratch = Sorl.Autotuner.scratch () in
-  let per_bench name =
-    let inst = Benchmarks.instance_by_name name in
-    let dims = Kernel.dims (Instance.kernel inst) in
-    let set = Tuning.predefined_set ~dims in
-    let n = Array.length set in
-    let enc = Features.compile Features.Extended inst in
-    let full () = Array.map (fun i -> set.(i)) (Array.sub (Sorl.Autotuner.rank_order tuner enc set) 0 k) in
-    let sel () =
-      let idx = Array.make (Features.max_nnz enc) 0 in
-      let v = Array.make (Features.max_nnz enc) 0. in
-      let score = Sorl_svmrank.Model.slice_scorer model in
-      let scores =
-        Array.init n (fun i ->
-            let e = Features.encode_into enc set.(i) idx v in
-            score idx v e)
-      in
-      Array.map (fun i -> set.(i)) (Sorl_svmrank.Model.top_k ~k scores)
-    in
-    let pruned () = fst (Sorl.Autotuner.top_k_pruned ~scratch tuner enc ~dims ~k) in
-    let expected = full () in
-    flag (sel () <> expected) (name ^ ": top-k selection differs from full sort");
-    flag (pruned () <> expected) (name ^ ": pruned top-k differs from full sort");
-    let _, stats = Sorl.Autotuner.top_k_pruned ~scratch tuner enc ~dims ~k in
-    let time f =
-      fst
-        (Sorl_util.Timer.time_repeat ~min_time:0.3 (fun () ->
-             ignore (Sys.opaque_identity (f ()))))
-    in
-    let full_s = time full and sel_s = time sel and pruned_s = time pruned in
-    Printf.printf "%s (%d candidates, k = %d):\n" name n k;
-    Printf.printf "  full sort         %s/call\n" (Table.fmt_time full_s);
-    Printf.printf "  top-k selection   %s/call (%.2fx)\n" (Table.fmt_time sel_s)
-      (full_s /. sel_s);
-    Printf.printf
-      "  top-k + pruning   %s/call (%.2fx); scored %d, skipped %d (%d/%d subcubes)\n"
-      (Table.fmt_time pruned_s) (full_s /. pruned_s) stats.Sorl.Autotuner.scored
-      stats.Sorl.Autotuner.pruned stats.Sorl.Autotuner.cubes_pruned
-      stats.Sorl.Autotuner.cubes;
-    (name, n, full_s, sel_s, pruned_s, stats)
-  in
-  let g3 = per_bench "gradient-256x256x256" in
-  let b2 = per_bench "blur-1024x768" in
-  let (_, _, _, _, _, s3) = g3 and (_, _, _, _, _, s2) = b2 in
-  flag
-    (s3.Sorl.Autotuner.cubes_pruned = 0 && s2.Sorl.Autotuner.cubes_pruned = 0)
-    "pruning never fired on either benchmark";
-  let bench_json (name, n, full_s, sel_s, pruned_s, stats) =
-    Printf.sprintf
-      "\"%s\": {\n\
-      \      \"candidates\": %d,\n\
-      \      \"full_sort_s\": %.6f,\n\
-      \      \"topk_s\": %.6f,\n\
-      \      \"topk_pruned_s\": %.6f,\n\
-      \      \"speedup_vs_full\": %.2f,\n\
-      \      \"scored\": %d,\n\
-      \      \"pruned\": %d,\n\
-      \      \"cubes_pruned\": %d,\n\
-      \      \"cubes\": %d\n\
-      \    }"
-      name n full_s sel_s pruned_s (full_s /. pruned_s) stats.Sorl.Autotuner.scored
-      stats.Sorl.Autotuner.pruned stats.Sorl.Autotuner.cubes_pruned
-      stats.Sorl.Autotuner.cubes
-  in
-  add_bench_sections
-    [
-      ( "cold_rank",
-        Printf.sprintf
-          "{\n\
-          \    \"k\": %d,\n\
-          \    \"in_process\": {\n\
-          \    %s,\n\
-          \    %s\n\
-          \    }\n\
-          \  }"
-          k (bench_json g3) (bench_json b2) );
-    ];
-  match !problems with
-  | [] -> print_endline "OK: cold-rank gates passed"
   | ps ->
     if Sys.getenv_opt "CI" <> None then
       List.iter (fun p -> Printf.printf "WARNING: %s\n" p) ps
@@ -2521,7 +2439,6 @@ let experiments =
     ("perf", perf);
     ("rank-throughput", rank_throughput);
     ("serve-throughput", serve_throughput);
-    ("cold-rank", cold_rank);
     ("fleet-throughput", fleet_throughput);
     ("micro", micro);
     ("telemetry-overhead", telemetry_overhead);

@@ -44,8 +44,8 @@ let score_hist = Sorl_util.Telemetry.histogram "rank.score_s"
    index/value region that [Features.encode_into]/[encode_at] refills,
    and the range scorer walks filled entries against the dense weights
    — no allocation per candidate.  Both are bit-identical to
-   encode-then-score, so every consumer (full sort, top-k selection)
-   sees the scores the slow serial path would produce. *)
+   encode-then-score, so the full sort and the argmin of [best] see
+   the scores the slow serial path would produce. *)
 let scores_enc t enc candidates scores =
   let n = Array.length candidates in
   Sorl_util.Telemetry.add candidates_counter n;
@@ -106,169 +106,27 @@ let rank_order t enc candidates =
 let best t inst candidates =
   if Array.length candidates = 0 then invalid_arg "Autotuner.best: no candidates";
   Sorl_util.Telemetry.span "autotuner/rank" (fun () ->
-      let enc = Features.compile t.mode inst in
       let scores = Array.make (Array.length candidates) 0. in
-      scores_enc t enc candidates scores;
-      (* Partial selection instead of a full sort: [Model.top_k] keeps
-         the (score, index) order of [sort_by_score], so this is the
-         element a full rank would put first. *)
-      candidates.((Sorl_svmrank.Model.top_k ~k:1 scores).(0)))
+      scores_enc t (Features.compile t.mode inst) candidates scores;
+      candidates.(Sorl_svmrank.Model.best_index scores))
 
-(* ---- branch-and-bound top-k over the predefined grid ---- *)
+let tune t inst = best t inst (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
 
-type scratch = {
-  mutable sc_idx : int array;
-  mutable sc_v : float array;
-  sc_top : Sorl_util.Topk.t;
-}
+(* ---- top-k as a prefix of the full sort ----
+   Kept for perfbench/layers.ml; goes with ROADMAP item 1. *)
 
-let scratch () = { sc_idx = [||]; sc_v = [||]; sc_top = Sorl_util.Topk.create ~k:0 }
+type scratch = unit
 
-type prune_stats = {
-  cubes : int;
-  cubes_pruned : int;
-  scored : int;
-  pruned : int;
-}
+let scratch () = ()
 
-let pruned_cubes_counter = Sorl_util.Telemetry.counter "rank.pruned_subcubes"
-let pruned_cands_counter = Sorl_util.Telemetry.counter "rank.pruned_candidates"
-let scored_cands_counter = Sorl_util.Telemetry.counter "rank.scored_candidates"
+type prune_stats = { scored : int; pruned : int }
 
-(* Top-k over the paper's predefined set without materializing or even
-   visiting most of it.  One subcube per (bx, by, bz) block triple
-   (the u and c axes stay whole, so block-coupled derived features are
-   bounded over exact block corners); cubes are visited in ascending
-   bound order, and once the heap is full and the next bound exceeds
-   the current k-th best score every remaining cube is pruned at once.
-   A cube that is not pruned is scored exhaustively through the same
-   compiled encoder + range scorer as the full rank, and candidates
-   enter the heap under their full-set flat index, so the surviving
-   top-k — order, tiebreaks and all — is exactly the first k elements
-   of [rank t inst (Tuning.predefined_set ~dims)].  Bounds are sound
-   by construction ({!Features.bound_lower}); a loose bound only means
-   less pruning, never a different answer. *)
-let top_k_pruned ?scratch:s t enc ~dims ~k =
-  if Features.compiled_mode enc <> t.mode then
-    invalid_arg "Autotuner.top_k_pruned: encoder mode does not match the tuner";
+let top_k_pruned ?scratch:_ t enc ~dims ~k =
   if k < 0 then invalid_arg "Autotuner.top_k_pruned: negative k";
-  Sorl_util.Telemetry.span "autotuner/top_k" (fun () ->
-      let s = match s with Some s -> s | None -> scratch () in
-      let a = Tuning.predefined_axes ~dims in
-      let nby = Array.length a.Tuning.ax_by
-      and nbz = Array.length a.Tuning.ax_bz
-      and nu = Array.length a.Tuning.ax_u
-      and nc = Array.length a.Tuning.ax_c in
-      let ncubes = Array.length a.Tuning.ax_bx * nby * nbz in
-      let cube_cands = nu * nc in
-      let k = min k (ncubes * cube_cands) in
-      if k = 0 then
-        ([||], { cubes = ncubes; cubes_pruned = ncubes; scored = 0; pruned = ncubes * cube_cands })
-      else begin
-        let m = Features.max_nnz enc in
-        if Array.length s.sc_idx < m then begin
-          s.sc_idx <- Array.make m 0;
-          s.sc_v <- Array.make m 0.
-        end;
-        Sorl_util.Topk.reset s.sc_top ~k;
-        let bd =
-          Features.bounder enc
-            ~w:(Sorl_svmrank.Model.weights t.model)
-            ~bx:a.Tuning.ax_bx ~by:a.Tuning.ax_by ~bz:a.Tuning.ax_bz ~u:a.Tuning.ax_u
-            ~c:a.Tuning.ax_c
-        in
-        let nu1 = nu - 1 and nc1 = nc - 1 in
-        let bounds =
-          Array.init ncubes (fun cube ->
-              let ibx = cube / (nby * nbz) in
-              let r = cube mod (nby * nbz) in
-              let iby = r / nbz and ibz = r mod nbz in
-              Features.bound_lower bd ~bx:(ibx, ibx) ~by:(iby, iby) ~bz:(ibz, ibz)
-                ~u:(0, nu1) ~c:(0, nc1))
-        in
-        (* Ascending bound order (ties by cube id, deterministically):
-           promising cubes establish a tight k-th best score early, and
-           the first prunable cube ends the scan — every cube after it
-           has a bound at least as large. *)
-        let order = Array.init ncubes Fun.id in
-        Array.sort
-          (fun x y ->
-            if bounds.(x) < bounds.(y) then -1
-            else if bounds.(y) < bounds.(x) then 1
-            else compare (x : int) y)
-          order;
-        let score = Sorl_svmrank.Model.range_scorer t.model in
-        let scored = ref 0 and cubes_pruned = ref 0 in
-        let ci = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !ci < ncubes do
-          let cube = order.(!ci) in
-          if
-            Sorl_util.Topk.full s.sc_top
-            && bounds.(cube) > Sorl_util.Topk.worst_score s.sc_top
-          then begin
-            (* Strict >: a cube whose bound ties the k-th best score
-               could still hold an equal-score candidate with a smaller
-               index, which the full sort would prefer. *)
-            cubes_pruned := ncubes - !ci;
-            stop := true
-          end
-          else begin
-            let ibx = cube / (nby * nbz) in
-            let r = cube mod (nby * nbz) in
-            let iby = r / nbz and ibz = r mod nbz in
-            let bxv = a.Tuning.ax_bx.(ibx)
-            and byv = a.Tuning.ax_by.(iby)
-            and bzv = a.Tuning.ax_bz.(ibz) in
-            let base_flat = cube * cube_cands in
-            for iu = 0 to nu1 do
-              let uv = a.Tuning.ax_u.(iu) in
-              for ic = 0 to nc1 do
-                let tn =
-                  { Tuning.bx = bxv; by = byv; bz = bzv; u = uv; c = a.Tuning.ax_c.(ic) }
-                in
-                let e = Features.encode_into enc tn s.sc_idx s.sc_v in
-                Sorl_util.Topk.push s.sc_top (score s.sc_idx s.sc_v 0 e)
-                  (base_flat + (iu * nc) + ic)
-              done
-            done;
-            scored := !scored + cube_cands;
-            incr ci
-          end
-        done;
-        let flat = Sorl_util.Topk.contents s.sc_top in
-        let result =
-          Array.map
-            (fun f ->
-              let ic = f mod nc in
-              let f = f / nc in
-              let iu = f mod nu in
-              let f = f / nu in
-              let ibz = f mod nbz in
-              let f = f / nbz in
-              let iby = f mod nby in
-              let ibx = f / nby in
-              {
-                Tuning.bx = a.Tuning.ax_bx.(ibx);
-                by = a.Tuning.ax_by.(iby);
-                bz = a.Tuning.ax_bz.(ibz);
-                u = a.Tuning.ax_u.(iu);
-                c = a.Tuning.ax_c.(ic);
-              })
-            flat
-        in
-        Sorl_util.Telemetry.add candidates_counter !scored;
-        Sorl_util.Telemetry.add pruned_cubes_counter !cubes_pruned;
-        Sorl_util.Telemetry.add pruned_cands_counter (!cubes_pruned * cube_cands);
-        Sorl_util.Telemetry.add scored_cands_counter !scored;
-        ( result,
-          {
-            cubes = ncubes;
-            cubes_pruned = !cubes_pruned;
-            scored = !scored;
-            pruned = !cubes_pruned * cube_cands;
-          } )
-      end)
+  let set = Tuning.predefined_set ~dims in
+  let order = rank_order t enc set in
+  let n = Array.length set in
+  (Array.init (min k n) (fun i -> set.(order.(i))), { scored = n; pruned = 0 })
 
 let top_k ?scratch t inst ~k =
   fst
@@ -276,11 +134,6 @@ let top_k ?scratch t inst ~k =
        (Features.compile t.mode inst)
        ~dims:(Kernel.dims (Instance.kernel inst))
        ~k)
-
-let tune t inst =
-  match top_k t inst ~k:1 with
-  | [| tn |] -> tn
-  | _ -> invalid_arg "Autotuner.tune: empty predefined set"
 
 (* ---- persistence ----
 

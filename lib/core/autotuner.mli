@@ -72,35 +72,34 @@ val rank_order :
 val best :
   t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t array ->
   Sorl_stencil.Tuning.t
-(** Top-ranked candidate — the element [rank] would put first, found by
-    partial selection ({!Sorl_svmrank.Model.top_k}) without sorting the
-    other scores.  Raises [Invalid_argument] on empty input. *)
+(** Top-ranked candidate: one scoring pass, then the lowest score, ties
+    to the lowest index ({!Sorl_svmrank.Model.best_index}).  That is
+    the order of {!Sorl_svmrank.Model.sort_by_score}, so the result is
+    exactly the head of {!rank}.  Raises [Invalid_argument] on empty
+    input. *)
 
-(** {2 Branch-and-bound top-k over the predefined set}
+val tune :
+  t ->
+  Sorl_stencil.Instance.t ->
+  Sorl_stencil.Tuning.t
+(** {!best} over the paper's pre-defined configuration set for the
+    instance's dimensionality (1600 or 8640 configurations, §VI-A):
+    the head of {!rank} over that set. *)
 
-    The serving cold path needs only the first few elements of a rank
-    over the paper's predefined grid.  [top_k_pruned] gets them without
-    visiting most of the grid: one score lower bound per (bx, by, bz)
-    subcube ({!Sorl_stencil.Features.bound_lower}), cubes visited in
-    ascending bound order, whole cubes skipped once the k-th best score
-    beats their bound.  Output is {e exactly} the first k elements of
-    the full rank — bounds are sound lower bounds minus a float-safety
-    epsilon, skipping requires a strictly larger bound (so equal-score
-    index tiebreaks survive), and unpruned cubes are scored through the
-    same compiled encoder and scorer as the full rank. *)
+(** {2 Top-k as a prefix of the full sort}
+
+    Kept for [perfbench/layers.ml]; goes with ROADMAP item 1.  Every
+    top-k here is the first [k] of {!rank_order} over the predefined
+    set. *)
 
 type scratch
-(** Reusable working memory (encode scratch + selection heap) so a
-    cold top-k allocates O(k + subcubes), not O(n).  Not thread-safe:
-    one scratch per concurrent caller. *)
+(** An empty token, accepted for the old signature. *)
 
 val scratch : unit -> scratch
 
 type prune_stats = {
-  cubes : int;  (** block subcubes in the grid *)
-  cubes_pruned : int;  (** subcubes skipped by their bound *)
-  scored : int;  (** candidates actually encoded and scored *)
-  pruned : int;  (** candidates skipped without scoring *)
+  scored : int;  (** candidates scored: always the set size *)
+  pruned : int;  (** candidates skipped: always 0 *)
 }
 
 val top_k_pruned :
@@ -110,14 +109,10 @@ val top_k_pruned :
   dims:int ->
   k:int ->
   Sorl_stencil.Tuning.t array * prune_stats
-(** [top_k_pruned t enc ~dims ~k] is
-    the first [k] of [rank_order t enc (Tuning.predefined_set ~dims)],
-    mapped to their tunings
-    (element for element), plus how much of the grid it skipped.  [k]
-    is clamped to the set size; [k = 0] yields [[||]].  The encoder
-    must be compiled from this tuner's mode (checked) for the instance
-    being ranked (pinned by the caller's cache key, as with
-    {!rank_order}).  Raises [Invalid_argument] on mode mismatch or
+(** [top_k_pruned t enc ~dims ~k] is the first [k] of
+    [rank_order t enc (Tuning.predefined_set ~dims)], mapped to their
+    tunings.  [k] is clamped to the set size; [k = 0] yields [[||]].
+    Raises [Invalid_argument] on mode mismatch (see {!rank_order}) or
     negative [k]. *)
 
 val top_k :
@@ -128,15 +123,6 @@ val top_k :
   Sorl_stencil.Tuning.t array
 (** {!top_k_pruned} with a freshly compiled encoder and the instance's
     own dimensionality; just the tunings. *)
-
-val tune :
-  t ->
-  Sorl_stencil.Instance.t ->
-  Sorl_stencil.Tuning.t
-(** {!best} over the paper's pre-defined configuration set for the
-    instance's dimensionality (1600 or 8640 configurations, §VI-A) —
-    computed as {!top_k} with [k = 1], so the grid is pruned, not
-    enumerated. *)
 
 val save : t -> string -> unit
 (** Persist model weights + feature mode as a version-headed text file

@@ -11,18 +11,10 @@ type t = {
   encoders : (string, cached_encoder) Hashtbl.t;  (** key: "<mode>/<instance>" *)
   encoder_cache : int;
   mutable tick : int;  (** LRU clock *)
-  mutable arena : Sorl.Autotuner.scratch list;
-      (** free list of top-k working memory; one entry per worker that
-          ever ranked cold concurrently *)
   mutable leaders : int;
   mutable followers : int;
   mutable encoder_hits : int;
   mutable encoder_misses : int;
-  mutable arena_hits : int;
-  mutable arena_misses : int;
-  mutable cubes_pruned : int;
-  mutable cands_pruned : int;
-  mutable cands_scored : int;
 }
 
 let batched_counter = Sorl_util.Telemetry.counter "serve.batched"
@@ -36,16 +28,10 @@ let create ?(encoder_cache = 32) () =
     encoders = Hashtbl.create 16;
     encoder_cache;
     tick = 0;
-    arena = [];
     leaders = 0;
     followers = 0;
     encoder_hits = 0;
     encoder_misses = 0;
-    arena_hits = 0;
-    arena_misses = 0;
-    cubes_pruned = 0;
-    cands_pruned = 0;
-    cands_scored = 0;
   }
 
 (* Caller holds [t.m]. *)
@@ -75,19 +61,6 @@ let get_encoder t mode inst =
     Hashtbl.replace t.encoders key { enc; last_used = t.tick };
     enc
 
-(* Caller holds [t.m].  Pop a scratch from the arena or make a fresh
-   one; steady state is all hits — the free list grows only while more
-   workers rank cold simultaneously than ever before. *)
-let take_scratch t =
-  match t.arena with
-  | s :: rest ->
-    t.arena <- rest;
-    t.arena_hits <- t.arena_hits + 1;
-    s
-  | [] ->
-    t.arena_misses <- t.arena_misses + 1;
-    Sorl.Autotuner.scratch ()
-
 (* Leader/follower coalescing: the first arrival under [key] computes
    (outside the lock), everyone else waits on the condition variable
    and shares the result. *)
@@ -113,9 +86,9 @@ let coalesce t ~key ~compute =
     Hashtbl.replace t.tops key slot;
     Mutex.unlock t.m;
     (* [compute] re-takes the lock for its own bookkeeping (encoder
-       cache, scratch arena), so it must run unlocked; it returns
-       [Error] rather than raising so the slot below is always
-       resolved and no follower waits forever. *)
+       cache), so it must run unlocked; an exception becomes [Error]
+       so the slot below is always resolved and no follower waits
+       forever. *)
     let outcome = (try compute () with e -> Error e) in
     Mutex.lock t.m;
     slot.outcome <- Some outcome;
@@ -126,45 +99,21 @@ let coalesce t ~key ~compute =
 
 let rank_top t ~generation ~tuner ~inst ~k () =
   (* [k] is part of the key: a top-1 and a top-10 for the same
-     instance are different computations (prefixes of the same rank,
-     but the smaller one prunes more), so they never coalesce onto
-     each other. *)
+     instance are different results, so they never coalesce onto each
+     other. *)
   let key = Printf.sprintf "%d/%s#%d" generation (Instance.name inst) k in
   coalesce t ~key ~compute:(fun () ->
       Mutex.lock t.m;
       let enc = get_encoder t (Sorl.Autotuner.feature_mode tuner) inst in
-      let scratch = take_scratch t in
       Mutex.unlock t.m;
       let dims = Kernel.dims (Instance.kernel inst) in
-      let outcome =
-        match Sorl.Autotuner.top_k_pruned ~scratch tuner enc ~dims ~k with
-        | r -> Ok r
-        | exception e -> Error e
-      in
-      Mutex.lock t.m;
-      t.arena <- scratch :: t.arena;
-      let outcome =
-        match outcome with
-        | Ok (r, stats) ->
-          t.cubes_pruned <- t.cubes_pruned + stats.Sorl.Autotuner.cubes_pruned;
-          t.cands_pruned <- t.cands_pruned + stats.Sorl.Autotuner.pruned;
-          t.cands_scored <- t.cands_scored + stats.Sorl.Autotuner.scored;
-          Ok r
-        | Error e -> Error e
-      in
-      Mutex.unlock t.m;
-      outcome)
+      Ok (fst (Sorl.Autotuner.top_k_pruned tuner enc ~dims ~k)))
 
 type stats = {
   leaders : int;
   followers : int;
   encoder_hits : int;
   encoder_misses : int;
-  arena_hits : int;
-  arena_misses : int;
-  cubes_pruned : int;
-  cands_pruned : int;
-  cands_scored : int;
 }
 
 let stats t =
@@ -175,11 +124,6 @@ let stats t =
       followers = t.followers;
       encoder_hits = t.encoder_hits;
       encoder_misses = t.encoder_misses;
-      arena_hits = t.arena_hits;
-      arena_misses = t.arena_misses;
-      cubes_pruned = t.cubes_pruned;
-      cands_pruned = t.cands_pruned;
-      cands_scored = t.cands_scored;
     }
   in
   Mutex.unlock t.m;

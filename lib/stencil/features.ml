@@ -139,22 +139,14 @@ let max_tuning_entries = function
   | Canonical -> 5
   | Extended -> 5 + continuous_count + 9
 
-(* Per-feature value functions, shared by the entry emitter below and
-   the subcube bounder: both must compute the same float from the same
-   integers, or a bound could disagree with the score it brackets.
-   Every helper is monotone in its integer argument(s) — clamp01 and
-   the log/round/clamp chains are weakly monotone, and IEEE division
-   by a fixed positive constant preserves order — which is what lets
-   the bounder evaluate them at interval endpoints. *)
+(* Per-feature value functions of the entry emitter below. *)
 let[@inline always] f_block_scalar b = clamp01 (lg2i b /. 10.)
 let[@inline always] f_unroll_scalar u = clamp01 (float_of_int u /. 8.)
 let[@inline always] f_chunk_scalar c = clamp01 (lg2i c /. 8.)
 let[@inline always] f_tile_volume pts = clamp01 (lg2i pts /. 30.)
 let[@inline always] f_working_set bytes = clamp01 (lg2 bytes /. 35.)
 
-(* Halo fraction (W - T(nbuf+1))/W: increasing in W, decreasing in T
-   (both exact ints, so the float quotient of exactly-representable
-   operands is correctly rounded and order-preserving). *)
+(* Halo fraction (W - T(nbuf+1))/W. *)
 let[@inline always] f_halo ws_pts tile_pts nbuf =
   clamp01 (float_of_int (ws_pts - (tile_pts * (nbuf + 1))) /. float_of_int ws_pts)
 
@@ -165,7 +157,7 @@ let[@inline always] f_count x = clamp01 (lg2i (max 1 x) /. 24.)
 let[@inline always] count_bin x = clamp_int (log2_bin_i (max 1 x) 0 24 / 2) 0 (count_bins - 1)
 
 (* Single source of truth for the tuning-dependent entries: every
-   encoding path (entry lists, compiled fast path, CSR batches) writes
+   encoding path (entry lists, compiled fast path) writes
    through this function, so all paths produce the same floats by
    construction.  Entries land at strictly increasing indices — all
    above the instance block — with zeros skipped.  Direct array writes
@@ -286,13 +278,12 @@ let encoder mode inst =
   fun t -> Sorl_util.Sparse.of_list ~dim:d (entries t)
 
 let encode mode inst t = (encoder mode inst) t
-let encode_dense mode inst t = Sorl_util.Sparse.to_dense (encode mode inst t)
 
 (* ---- Compiled per-instance encoder (zero-allocation fast path) ---- *)
 
 (* The instance-dependent entries are materialized once into flat
    sorted arrays; encoding a tuning vector then blits them and appends
-   the tuning-dependent entries, which [iter_tuning_entries] emits in
+   the tuning-dependent entries, which [write_tuning_entries] emits in
    strictly increasing index order above them.  The result slice
    therefore satisfies the [Sparse.of_sorted] invariant directly — no
    hashing, sorting or per-candidate list in sight — and holds exactly
@@ -344,247 +335,6 @@ let encode_compiled c t =
   let idx = Array.make c.c_max_nnz 0 and v = Array.make c.c_max_nnz 0. in
   let n = encode_into c t idx v in
   Sorl_util.Sparse.of_sorted ~dim:c.c_dim (Array.sub idx 0 n) (Array.sub v 0 n)
-
-(* Batch encoding into one CSR block: flat index/value arrays filled
-   through the compiled encoder, then shrunk once to the exact size.
-   Row [i] holds precisely the entries of [encode mode inst ts.(i)]. *)
-let encode_csr c tunings =
-  Sorl_util.Telemetry.span "features/encode_csr" (fun () ->
-      let rows = Array.length tunings in
-      let cap = rows * c.c_max_nnz in
-      let idx = Array.make (max cap 1) 0 and v = Array.make (max cap 1) 0. in
-      let offs = Array.make (rows + 1) 0 in
-      let n = ref 0 in
-      Array.iteri
-        (fun r t ->
-          n := encode_at c t idx v !n;
-          offs.(r + 1) <- !n)
-        tunings;
-      Sorl_util.Sparse.Csr.create ~dim:c.c_dim ~offs ~idx:(Array.sub idx 0 !n)
-        ~v:(Array.sub v 0 !n))
-
-(* ---- Score lower bounds over tuning subcubes (branch & bound) ----
-
-   The rank model is linear, so w·φ(inst, t) decomposes into the fixed
-   instance contribution, per-axis terms depending on one tuning
-   parameter alone, and coupled terms mixing the block axes with u/c.
-   Over a subcube of the predefined grid the first two are minimized
-   exactly (the instance part is constant; each axis term is evaluated
-   at every axis value in the range), and the coupled terms are
-   bounded by interval arithmetic: every derived quantity (tile
-   volume, working set, streaming reuse, tile count) is monotone in
-   the effective block dimensions, so its range over the cube is
-   spanned by two corner evaluations, and a weight-signed choice of
-   endpoint bounds each continuous feature while the one-hot groups
-   contribute the minimum weight over the reachable bin interval.  The
-   result is a sound lower bound on the score of every candidate in
-   the cube — never depended on for tightness, only for soundness —
-   which is what lets a top-k rank skip whole subcubes whose bound
-   exceeds the current k-th best score. *)
-
-(* Derived integer quantities of one (effective) block corner — the
-   same arithmetic as the Extended branch of [write_tuning_entries]
-   (pinned together by the pruned-vs-exhaustive parity tests).  This
-   returns a tuple, so only the bounder calls it; the per-candidate
-   emitter keeps its allocation-free inline form. *)
-let derived_pts ctx bxr byr bzr =
-  let bx = min bxr ctx.x_sx and by = min byr ctx.x_sy and bz = min bzr ctx.x_sz in
-  let tile_pts = bx * by * bz in
-  let ws_pts = ref tile_pts and reuse_pts = ref bx in
-  for p = 0 to Array.length ctx.x_rx - 1 do
-    let ex = min (bx + (2 * ctx.x_rx.(p))) ctx.x_sx
-    and ey = min (by + (2 * ctx.x_ry.(p))) ctx.x_sy
-    and ez = min (bz + (2 * ctx.x_rz.(p))) ctx.x_sz in
-    ws_pts := !ws_pts + (ex * ey * ez);
-    reuse_pts := !reuse_pts + (ex * ey * min ((2 * ctx.x_rz.(p)) + 1) ctx.x_sz)
-  done;
-  let ceil_div a b = (a + b - 1) / b in
-  let tiles = ceil_div ctx.x_sx bx * ceil_div ctx.x_sy by * ceil_div ctx.x_sz bz in
-  (tile_pts, !ws_pts, !reuse_pts, tiles)
-
-type bounder = {
-  b_ctx : tctx;
-  b_w : float array;
-  b_ext : bool;
-  b_inst : float;  (** instance-block contribution — constant, exact *)
-  b_bx : int array;
-  b_by : int array;
-  b_bz : int array;
-  b_u : int array;
-  b_c : int array;
-  b_tbx : float array;  (** contribution of all features depending on bx alone *)
-  b_tby : float array;
-  b_tbz : float array;
-  b_tu : float array;
-  b_tc : float array;
-}
-
-let check_axis name a =
-  if Array.length a = 0 then invalid_arg ("Features.bounder: empty axis " ^ name);
-  for i = 1 to Array.length a - 1 do
-    if a.(i) <= a.(i - 1) then
-      invalid_arg ("Features.bounder: axis not strictly ascending: " ^ name)
-  done
-
-let bounder enc ~w ~bx ~by ~bz ~u ~c =
-  if Array.length w <> enc.c_dim then invalid_arg "Features.bounder: weight dimension mismatch";
-  check_axis "bx" bx;
-  check_axis "by" by;
-  check_axis "bz" bz;
-  check_axis "u" u;
-  check_axis "c" c;
-  let ctx = enc.c_ctx in
-  let ext = ctx.x_mode = Extended in
-  let inst = ref 0. in
-  Array.iteri (fun i j -> inst := !inst +. (enc.c_inst_v.(i) *. w.(j))) enc.c_inst_idx;
-  (* Per-axis contribution tables: exact score contribution of every
-     feature that depends on that single tuning parameter (scalar,
-     one-hot bin, and the per-axis continuous terms — cover and SIMD
-     remainder for the block axes, unroll pressure for u). *)
-  let tbx =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(bx_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          let be = min bv ctx.x_sx in
-          acc := !acc +. (w.(continuous_base + 3) *. f_cover be ctx.x_sx);
-          acc := !acc +. (w.(continuous_base + 6) *. f_simd_remainder be)
-        end;
-        !acc)
-      bx
-  in
-  let tby =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base + 1) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(by_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          acc := !acc +. (w.(continuous_base + 4) *. f_cover (min bv ctx.x_sy) ctx.x_sy)
-        end;
-        !acc)
-      by
-  in
-  let tbz =
-    Array.map
-      (fun bv ->
-        let acc = ref (w.(tuning_base + 2) *. f_block_scalar bv) in
-        if ext then begin
-          acc := !acc +. w.(bz_bins_base + log2_bin_i bv 0 (block_bins - 1));
-          acc := !acc +. (w.(continuous_base + 5) *. f_cover (min bv ctx.x_sz) ctx.x_sz)
-        end;
-        !acc)
-      bz
-  in
-  let tu =
-    Array.map
-      (fun uv ->
-        let acc = ref (w.(tuning_base + 3) *. f_unroll_scalar uv) in
-        if ext then begin
-          acc := !acc +. w.(unroll_bins_base + clamp_int uv 0 (unroll_bins - 1));
-          acc := !acc +. (w.(continuous_base + 7) *. f_unroll_pressure (max 1 uv) ctx.x_taps)
-        end;
-        !acc)
-      u
-  in
-  let tc =
-    Array.map
-      (fun cv ->
-        let acc = ref (w.(tuning_base + 4) *. f_chunk_scalar cv) in
-        if ext then acc := !acc +. w.(chunk_bins_base + log2_bin_i cv 0 (chunk_bins - 1));
-        !acc)
-      c
-  in
-  {
-    b_ctx = ctx;
-    b_w = w;
-    b_ext = ext;
-    b_inst = !inst;
-    b_bx = bx;
-    b_by = by;
-    b_bz = bz;
-    b_u = u;
-    b_c = c;
-    b_tbx = tbx;
-    b_tby = tby;
-    b_tbz = tbz;
-    b_tu = tu;
-    b_tc = tc;
-  }
-
-let[@inline] min_range (t : float array) lo hi =
-  let m = ref t.(lo) in
-  for i = lo + 1 to hi do
-    if t.(i) < !m then m := t.(i)
-  done;
-  !m
-
-let bound_lower b ~bx:(bxl, bxh) ~by:(byl, byh) ~bz:(bzl, bzh) ~u:(ul, uh) ~c:(cl, ch) =
-  let acc = ref (b.b_inst +. min_range b.b_tbx bxl bxh) in
-  acc := !acc +. min_range b.b_tby byl byh;
-  acc := !acc +. min_range b.b_tbz bzl bzh;
-  acc := !acc +. min_range b.b_tu ul uh;
-  acc := !acc +. min_range b.b_tc cl ch;
-  if b.b_ext then begin
-    let ctx = b.b_ctx and w = b.b_w in
-    (* The derived quantities are monotone nondecreasing (tile volume,
-       working set, streaming reuse) or nonincreasing (tile count) in
-       every effective block dimension, so the low and high corners of
-       the block subcube span their exact integer ranges. *)
-    let tile_lo, ws_lo, reuse_lo, tiles_hi =
-      derived_pts ctx b.b_bx.(bxl) b.b_by.(byl) b.b_bz.(bzl)
-    in
-    let tile_hi, ws_hi, reuse_hi, tiles_lo =
-      derived_pts ctx b.b_bx.(bxh) b.b_by.(byh) b.b_bz.(bzh)
-    in
-    let c_lo = b.b_c.(cl) and c_hi = b.b_c.(ch) in
-    let ceil_div a d = (a + d - 1) / d in
-    let chunks_lo = ceil_div tiles_lo c_hi and chunks_hi = ceil_div tiles_hi c_lo in
-    let wsb_lo = float_of_int ws_lo *. ctx.x_bytes
-    and wsb_hi = float_of_int ws_hi *. ctx.x_bytes in
-    let reuseb_lo = float_of_int reuse_lo *. ctx.x_bytes
-    and reuseb_hi = float_of_int reuse_hi *. ctx.x_bytes in
-    (* Weight-signed endpoint choice: w >= 0 wants the feature minimum,
-       w < 0 the maximum. *)
-    let add_signed j flo fhi =
-      let wj = w.(continuous_base + j) in
-      acc := !acc +. (if wj >= 0. then wj *. flo else wj *. fhi)
-    in
-    add_signed 0 (f_tile_volume tile_lo) (f_tile_volume tile_hi);
-    add_signed 1 (f_working_set wsb_lo) (f_working_set wsb_hi);
-    (* Halo (W - T(nbuf+1))/W is increasing in W, decreasing in T;
-       treating W and T as independent intervals is a conservative
-       (superset) range. *)
-    add_signed 2 (f_halo ws_lo tile_hi ctx.x_nbuf) (f_halo ws_hi tile_lo ctx.x_nbuf);
-    add_signed 8 (f_count tiles_lo) (f_count tiles_hi);
-    add_signed 9 (f_count chunks_lo) (f_count chunks_hi);
-    (* One-hot groups: exactly one bin of the group fires per
-       candidate, and the bin index is monotone in the underlying
-       quantity, so the reachable bins lie inside the endpoint bin
-       interval; the minimum weight over that (super)interval bounds
-       the group's contribution from below. *)
-    let add_bin_group base jlo jhi =
-      let m = ref w.(base + jlo) in
-      for j = jlo + 1 to jhi do
-        if w.(base + j) < !m then m := w.(base + j)
-      done;
-      acc := !acc +. !m
-    in
-    add_bin_group ws_bins_base
-      (log2_bin wsb_lo 10 (10 + ws_bins - 1))
-      (log2_bin wsb_hi 10 (10 + ws_bins - 1));
-    add_bin_group reuse_bins_base
-      (log2_bin reuseb_lo 10 (10 + reuse_bins - 1))
-      (log2_bin reuseb_hi 10 (10 + reuse_bins - 1));
-    add_bin_group tiles_bins_base (count_bin tiles_lo) (count_bin tiles_hi);
-    add_bin_group chunks_bins_base (count_bin chunks_lo) (count_bin chunks_hi)
-  end;
-  (* Absorb float non-associativity: the bound above sums in a
-     different order than the index-ordered scoring loop, so shave a
-     relative epsilon to guarantee bound <= computed score whenever
-     the analytic inequality holds. *)
-  let a = !acc in
-  a -. (1e-9 *. (1. +. Float.abs a))
 
 let continuous_names =
   [|

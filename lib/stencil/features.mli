@@ -44,8 +44,6 @@ val dim : mode -> int
 val encode : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
 (** Feature vector of one stencil execution; all values in [\[0,1\]]. *)
 
-val encode_dense : mode -> Instance.t -> Tuning.t -> float array
-
 val encoder : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
 (** [encoder mode inst] precomputes the instance-dependent entries and
     returns a closure encoding tuning vectors of that instance — use it
@@ -54,11 +52,9 @@ val encoder : mode -> Instance.t -> Tuning.t -> Sorl_util.Sparse.t
 val encoder_entries : mode -> Instance.t -> Tuning.t -> (int * float) list
 (** Like {!encoder} but returns the raw (index, value) entry list the
     sparse vector is built from (possibly with duplicate indices, which
-    sum).  Feed it to {!Sorl_svmrank.Model.entry_scorer} to score
-    candidates without materializing a vector per candidate.  Prefer
-    the {!compiled} fast path below — this list-based variant is kept
-    as the reference implementation and for the throughput bench's
-    before/after comparison. *)
+    sum).  This list-based path is the reference the {!compiled} fast
+    path below is checked against, and the seed path of the
+    throughput bench. *)
 
 (** {1 Compiled fast path}
 
@@ -99,60 +95,6 @@ val encode_at : compiled -> Tuning.t -> int array -> float array -> int -> int
 val encode_compiled : compiled -> Tuning.t -> Sorl_util.Sparse.t
 (** Convenience wrapper materializing one {!encode_into} result;
     bit-identical to [encode mode inst t]. *)
-
-val encode_csr : compiled -> Tuning.t array -> Sorl_util.Sparse.Csr.t
-(** [encode_csr c ts] encodes a whole candidate batch into one CSR
-    block (one flat index array, one flat value array, row offsets) —
-    the batch format {!Sorl_svmrank.Model.score_csr} and the solvers
-    consume.  Row [i] holds exactly the entries of
-    [encode mode inst ts.(i)] (bit-identical values). *)
-
-(** {1 Score lower bounds over tuning subcubes}
-
-    Because the rank model is linear, [w·φ(inst, t)] splits into a
-    constant instance part, per-axis terms, and coupled terms whose
-    derived quantities (tile volume, working set, streaming reuse,
-    tile/chunk counts) are monotone in the effective block dimensions.
-    A {!bounder} precomputes the constant and per-axis contribution
-    tables once per (instance, weights); {!bound_lower} then bounds the
-    score of {e every} candidate in a subcube of the predefined grid
-    from below — exactly for the separable terms, by weight-signed
-    interval endpoints for the coupled ones, minus a relative epsilon
-    absorbing summation-order effects.  Soundness (bound <= each
-    candidate's computed score) is what branch-and-bound ranking relies
-    on; tightness only affects how much gets pruned, never the
-    answer. *)
-
-type bounder
-
-val bounder :
-  compiled ->
-  w:float array ->
-  bx:int array ->
-  by:int array ->
-  bz:int array ->
-  u:int array ->
-  c:int array ->
-  bounder
-(** [bounder enc ~w ~bx ~by ~bz ~u ~c] prepares bounds for the grid
-    spanned by the given strictly-ascending axis value arrays (use
-    {!Tuning.predefined_axes}) under dense weights [w] (use
-    [Model.weights]; length must equal [compiled_dim enc] — checked).
-    Raises [Invalid_argument] on dimension mismatch or a non-ascending
-    or empty axis. *)
-
-val bound_lower :
-  bounder ->
-  bx:int * int ->
-  by:int * int ->
-  bz:int * int ->
-  u:int * int ->
-  c:int * int ->
-  float
-(** [bound_lower b ~bx:(l, h) ...] takes inclusive {e axis-position}
-    ranges (indices into the axis arrays given to {!bounder}, not
-    parameter values) and returns a lower bound on the score of every
-    tuning in the subcube.  O(range widths), allocation-free. *)
 
 val names : mode -> string array
 (** Human-readable name per feature index (pattern cells are named by

@@ -114,10 +114,8 @@ let predefined_size ~dims =
 
 (* The flat enumeration of the axes grid in row-major (bx, by, bz, u,
    c) order: element [((((ibx*nby + iby)*nbz + ibz)*nu + iu)*nc + ic]
-   is the tuning at those axis positions.  Pruned top-k ranking relies
-   on this flat-index correspondence for its tiebreak order, so the
-   set and the axes must never drift apart — which is why the set is
-   derived from the axes. *)
+   is the tuning at those axis positions.  The set is derived from the
+   axes so the two never drift apart. *)
 let predefined_set ~dims =
   let a = predefined_axes ~dims in
   let nby = Array.length a.ax_by

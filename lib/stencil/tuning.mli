@@ -72,9 +72,7 @@ val predefined_axes : dims:int -> axes
     [dims = 2]).  [predefined_set ~dims] enumerates their product in
     row-major (bx, by, bz, u, c) order: element
     [(((ibx*nby + iby)*nbz + ibz)*nu + iu)*nc + ic] of the set is the
-    tuning at those axis positions — branch-and-bound ranking iterates
-    subcubes of this grid and recovers full-set candidate indices from
-    axis positions through exactly this formula. *)
+    tuning at those axis positions. *)
 
 val predefined_size : dims:int -> int
 (** [Array.length (predefined_set ~dims)] without materializing the

@@ -9,35 +9,14 @@ let score t phi =
     invalid_arg "Model.score: dimension mismatch";
   Sorl_util.Sparse.dot_dense phi t.w
 
-(* Scores a raw entry list without materializing a sparse vector.  The
-   accumulation into the scratch (list order, per index) followed by a
-   sum over the sorted touched indices with zeros skipped replays the
-   exact float operations of [Sparse.of_list] + [dot_dense], so the
-   result is bit-identical to [score t (Sparse.of_list ~dim entries)].
-   The closure owns its scratch: create one scorer per domain. *)
-let entry_scorer t =
-  let w = t.w in
-  let scratch = Array.make (Array.length w) 0. in
-  fun entries ->
-    List.iter (fun (i, x) -> scratch.(i) <- scratch.(i) +. x) entries;
-    let touched = List.sort_uniq compare (List.map fst entries) in
-    let acc = ref 0. in
-    List.iter
-      (fun i ->
-        let v = scratch.(i) in
-        if v <> 0. then acc := !acc +. (v *. w.(i));
-        scratch.(i) <- 0.)
-      touched;
-    !acc
-
 (* Scores the [lo, hi) range of a strictly-increasing (idx, v) scratch
    pair against w.  The sum runs in increasing index order — the same
-   float additions as [dot_dense] on the equivalent sparse vector and
-   as [entry_scorer] on the equivalent entry list — so all scoring
-   paths are bit-identical.  The loop is unrolled 4-wide but keeps a
-   single accumulator chain: the additions stay sequential (float
-   addition is not associative, so parallel partial sums would change
-   results); the unroll only amortizes the loop-control overhead.
+   float additions as [dot_dense] on the equivalent sparse vector — so
+   it is bit-identical to [score].  The loop is unrolled 4-wide but
+   keeps a single accumulator chain: the additions stay sequential
+   (float addition is not associative, so parallel partial sums would
+   change results); the unroll only amortizes the loop-control
+   overhead.
    Bounds on idx/v are validated up front, so the body can use unsafe
    loads on them; w is indexed through idx contents and stays checked.
    Allocation-free. *)
@@ -62,24 +41,6 @@ let range_scorer t =
     done;
     !acc
 
-(* Scores a strictly-increasing (idx, v) prefix of length n: the
-   [0, n) range of [range_scorer]. *)
-let slice_scorer t =
-  let range = range_scorer t in
-  fun idx v n -> range idx v 0 n
-
-let score_csr t csr =
-  if Sorl_util.Sparse.Csr.dim csr <> Array.length t.w then
-    invalid_arg "Model.score_csr: dimension mismatch";
-  Sorl_util.Sparse.Csr.dot_rows csr t.w
-
-let score_csr_into t csr out =
-  if Sorl_util.Sparse.Csr.dim csr <> Array.length t.w then
-    invalid_arg "Model.score_csr_into: dimension mismatch";
-  Sorl_util.Sparse.Csr.dot_rows_into csr t.w out
-
-let score_batch t candidates = Sorl_util.Pool.parallel_map (score t) candidates
-
 let sort_by_score (scores : float array) =
   let idx = Array.init (Array.length scores) (fun i -> i) in
   (* The parameter annotation matters: without it this function is
@@ -97,37 +58,16 @@ let sort_by_score (scores : float array) =
     idx;
   idx
 
-(* Indices of the k best (lowest) scores, in the order a full
-   [sort_by_score] would list them.  Selection goes through a bounded
-   heap over the same (score ascending, index ascending) total order as
-   the sort comparator, so for NaN-free scores the result equals
-   [Array.sub (sort_by_score scores) 0 k] element for element — the
-   parity the qcheck suite pins down.  Near-full selections fall back
-   to the sort itself: the heap only wins when k is genuinely small. *)
-let top_k ?k (scores : float array) =
-  let n = Array.length scores in
-  let k =
-    match k with
-    | None -> n
-    | Some k ->
-      if k < 0 then invalid_arg "Model.top_k: negative k";
-      min k n
-  in
-  if k = 0 then [||]
-  else if 2 * k >= n then Array.sub (sort_by_score scores) 0 k
-  else begin
-    let h = Sorl_util.Topk.create ~k in
-    for i = 0 to n - 1 do
-      Sorl_util.Topk.push h scores.(i) i
-    done;
-    Sorl_util.Topk.contents h
-  end
-
-let rank t candidates = sort_by_score (score_batch t candidates)
-
-let best t candidates =
-  if Array.length candidates = 0 then invalid_arg "Model.best: no candidates";
-  (rank t candidates).(0)
+(* The head of [sort_by_score] in one pass: strict [<] keeps the
+   earlier index on equal scores, and [0.] and [-0.] compare equal, so
+   a signed-zero tie also resolves by index. *)
+let best_index (scores : float array) =
+  if Array.length scores = 0 then invalid_arg "Model.best_index: no scores";
+  let b = ref 0 in
+  for i = 1 to Array.length scores - 1 do
+    if scores.(i) < scores.(!b) then b := i
+  done;
+  !b
 
 (* Only nonzero weights are written, so a reader cannot infer the
    expected line count from [dim] alone: the [nnz] header and the [end]

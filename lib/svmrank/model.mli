@@ -18,60 +18,21 @@ val weights : t -> Sorl_util.Vec.t
 val score : t -> Sorl_util.Sparse.t -> float
 (** [w·φ]; lower is predicted-faster. *)
 
-val entry_scorer : t -> (int * float) list -> float
-(** [entry_scorer t] returns a closure scoring raw (index, value) entry
-    lists (duplicates sum) without building a sparse vector, via a
-    private dense scratch.  Bit-identical to
-    [score t (Sparse.of_list ~dim entries)].  The closure is not
-    reentrant: create one scorer per domain when scoring in parallel. *)
-
-val slice_scorer : t -> int array -> float array -> int -> float
-(** [slice_scorer t] returns an allocation-free closure scoring the
-    first [n] entries of a strictly-increasing index/value scratch pair
-    (the layout {!Sorl_stencil.Features.encode_into} fills).
-    Bit-identical to [score t] of the equivalent sparse vector. *)
-
 val range_scorer : t -> int array -> float array -> int -> int -> float
 (** [range_scorer t idx v lo hi] scores the [\[lo, hi)] range of a
     strictly-increasing index/value pair — the per-row entry point for
     flat multi-encoding blocks (one block per chunk instead of one
-    scratch copy per candidate).  [slice_scorer t idx v n] is the
-    [\[0, n)] case.  Bit-identical to [score t] of the equivalent
-    sparse vector; allocation-free. *)
-
-val score_csr : t -> Sorl_util.Sparse.Csr.t -> float array
-(** Score every row of a CSR batch against the weights by walking the
-    flat arrays; element [r] is bit-identical to [score t row_r].
-    Allocates only the result array. *)
-
-val score_csr_into : t -> Sorl_util.Sparse.Csr.t -> float array -> unit
-(** Like {!score_csr} into a caller-provided output; allocation-free. *)
-
-val score_batch : t -> Sorl_util.Sparse.t array -> float array
-(** Scores of all candidates, computed in parallel over the
-    {!Sorl_util.Pool} (element order preserved; each score equals
-    [score t candidates.(i)] exactly). *)
+    scratch copy per candidate).  Bit-identical to [score t] of the
+    equivalent sparse vector; allocation-free. *)
 
 val sort_by_score : float array -> int array
 (** Permutation of indices sorting the given scores ascending, ties
-    broken by index (stable). *)
+    broken by index (stable; [0.] and [-0.] tie). *)
 
-val top_k : ?k:int -> float array -> int array
-(** [top_k ~k scores] is [Array.sub (sort_by_score scores) 0 (min k n)]
-    — same indices, same order, including duplicate-score tiebreaks —
-    computed in O(n log k) through a bounded heap ({!Sorl_util.Topk})
-    instead of a full sort.  Scores must be NaN-free (the sort
-    comparator's own precondition for a total order).  [k] defaults to
-    all of them; [k = 0] yields [[||]]; [k >= n] degenerates to the
-    full sort.  Raises [Invalid_argument] on negative [k]. *)
-
-val rank : t -> Sorl_util.Sparse.t array -> int array
-(** Permutation of candidate indices sorted best (lowest score) first.
-    Stable for equal scores.  Scoring runs over the {!Sorl_util.Pool};
-    the ranking is identical for every pool size. *)
-
-val best : t -> Sorl_util.Sparse.t array -> int
-(** First element of {!rank}.  Raises [Invalid_argument] on empty. *)
+val best_index : float array -> int
+(** [(sort_by_score scores).(0)] in one pass, without sorting: the
+    lowest score, ties to the lowest index.  Raises [Invalid_argument]
+    on an empty array. *)
 
 val save : t -> string -> unit
 (** Write a small versioned text format ([sorl-rank-model 1]:

@@ -227,9 +227,7 @@ module Csr = struct
      keeping one chain makes the unrolled loop bit-identical to the
      plain one while amortizing loop control.  [create] validated the
      entry arrays, so idx/v use unsafe loads; [w] is indexed through
-     row contents and stays bounds-checked (dot_rows_into validates the
-     dense side once, but dot_row is also a public per-row entry
-     point). *)
+     row contents and stays bounds-checked. *)
   let dot_row t r w =
     let lo = t.offs.(r) and hi = t.offs.(r + 1) in
     let idx = t.idx and v = t.v in
@@ -248,18 +246,6 @@ module Csr = struct
       incr k
     done;
     !acc
-
-  let dot_rows_into t w out =
-    if Array.length w < t.dim then invalid_arg "Csr.dot_rows_into: dense side too short";
-    if Array.length out < rows t then invalid_arg "Csr.dot_rows_into: output too short";
-    for r = 0 to rows t - 1 do
-      out.(r) <- dot_row t r w
-    done
-
-  let dot_rows t w =
-    let out = Array.make (rows t) 0. in
-    dot_rows_into t w out;
-    out
 
   let axpy_row a t r y =
     for k = t.offs.(r) to t.offs.(r + 1) - 1 do

@@ -79,8 +79,8 @@ type sparse = t
     operations of their single-vector counterparts ({!dot_dense},
     {!axpy_dense}, {!norm2}) — batch callers stay bit-identical to the
     vector-at-a-time path while touching only flat arrays, with no
-    per-row allocation.  This is the storage format of
-    [Features.encode_csr] batches and of the solvers' training pairs. *)
+    per-row allocation.  This is the storage format of the solvers'
+    training pairs. *)
 module Csr : sig
   type t
 
@@ -106,13 +106,6 @@ module Csr : sig
 
   val dot_row : t -> int -> float array -> float
   (** [dot_row t r w] = [dot_dense (row t r) w], allocation-free. *)
-
-  val dot_rows_into : t -> float array -> float array -> unit
-  (** Score every row against [w] into a caller-provided output
-      (length >= {!rows}); allocation-free. *)
-
-  val dot_rows : t -> float array -> float array
-  (** [dot_rows t w].(r) = [dot_row t r w]; allocates the result only. *)
 
   val axpy_row : float -> t -> int -> float array -> unit
   (** [axpy_row a t r y] performs [y <- y + a·row_r], allocation-free. *)

@@ -25,7 +25,6 @@ let () =
       ("svmrank", Test_svmrank.suite);
       ("search", Test_search.suite);
       ("core", Test_core.suite);
-      ("topk", Test_topk.suite);
       ("serve", Test_serve.suite);
       ("fleet", Test_fleet.suite);
       ("baselines", Test_baselines.suite);

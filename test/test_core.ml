@@ -120,6 +120,109 @@ let test_autotuner_mode_mismatch () =
     (Invalid_argument "Autotuner.train_on: dataset dimension does not match feature mode")
     (fun () -> ignore (Sorl.Autotuner.train_on ~mode:Features.Extended ds))
 
+(* ---- tune/best = head of the full sort ---- *)
+
+let rank_head_instances =
+  [
+    Instance.create_xyz Benchmarks.gradient ~sx:256 ~sy:256 ~sz:256;
+    Instance.create_xyz Benchmarks.blur ~sx:1024 ~sy:768 ~sz:1;
+    Instance.create_xyz Benchmarks.laplacian ~sx:64 ~sy:512 ~sz:32;
+  ]
+
+(* Weights in [-2, 2] put mass of both signs on every feature, far
+   from a trained model's. *)
+let random_tuner rng mode =
+  let w = Array.init (Features.dim mode) (fun _ -> (Sorl_util.Rng.uniform rng *. 4.) -. 2.) in
+  Sorl.Autotuner.of_model ~mode (Sorl_svmrank.Model.create w)
+
+let test_tune_equals_full_rank_head () =
+  let rng = Sorl_util.Rng.create 81 in
+  let tuners =
+    random_tuner rng Features.Canonical
+    :: List.init 3 (fun _ -> random_tuner rng Features.Extended)
+  in
+  List.iter
+    (fun tuner ->
+      List.iter
+        (fun inst ->
+          let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+          let full = Sorl.Autotuner.rank tuner inst set in
+          checkb "tune = rank head" true (Tuning.equal (Sorl.Autotuner.tune tuner inst) full.(0));
+          checkb "best = rank head" true
+            (Tuning.equal (Sorl.Autotuner.best tuner inst set) full.(0)))
+        rank_head_instances)
+    tuners
+
+let test_best_ties_by_index () =
+  (* All-zero weights score every candidate 0: the first one wins. *)
+  let zero mode =
+    Sorl.Autotuner.of_model ~mode
+      (Sorl_svmrank.Model.create (Array.make (Features.dim mode) 0.))
+  in
+  let inst = List.hd rank_head_instances in
+  let set = Tuning.predefined_set ~dims:3 in
+  let rng = Sorl_util.Rng.create 3 in
+  let cands = Array.init 20 (fun _ -> Tuning.random rng ~dims:3) in
+  List.iter
+    (fun mode ->
+      let t = zero mode in
+      checkb "best = candidates.(0)" true
+        (Tuning.equal (Sorl.Autotuner.best t inst cands) cands.(0));
+      checkb "tune = first predefined tuning" true
+        (Tuning.equal (Sorl.Autotuner.tune t inst) set.(0)))
+    [ Features.Canonical; Features.Extended ];
+  let best_index = Sorl_svmrank.Model.best_index in
+  checki "0. then -0." 0 (best_index [| 0.; -0.; 1. |]);
+  checki "-0. then 0." 1 (best_index [| 1.; -0.; 0. |]);
+  checki "all ties" 0 (best_index (Array.make 8 1.));
+  Alcotest.check_raises "empty" (Invalid_argument "Model.best_index: no scores") (fun () ->
+      ignore (best_index [||]))
+
+(* Scores drawn from a small value set force duplicates, so the index
+   tie-break is exercised constantly, not occasionally. *)
+let qcheck_best_index_is_sort_head =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"best_index = sort head (dup-heavy scores)"
+       QCheck2.Gen.(
+         array_size (int_range 1 400)
+           (oneof [ float_range (-2.) 2.; map (fun i -> float_of_int i /. 4.) (int_range (-8) 8) ]))
+       (fun scores ->
+         Sorl_svmrank.Model.best_index scores = (Sorl_svmrank.Model.sort_by_score scores).(0)))
+
+let test_predefined_axes_consistent () =
+  List.iter
+    (fun dims ->
+      let set = Tuning.predefined_set ~dims in
+      checki "size matches set" (Array.length set) (Tuning.predefined_size ~dims);
+      let a = Tuning.predefined_axes ~dims in
+      let nby = Array.length a.Tuning.ax_by
+      and nbz = Array.length a.Tuning.ax_bz
+      and nu = Array.length a.Tuning.ax_u
+      and nc = Array.length a.Tuning.ax_c in
+      (* Flat-index correspondence: the documented row-major formula
+         recovers every element. *)
+      Array.iteri
+        (fun i t ->
+          let ic = i mod nc in
+          let i = i / nc in
+          let iu = i mod nu in
+          let i = i / nu in
+          let ibz = i mod nbz in
+          let i = i / nbz in
+          let iby = i mod nby in
+          let ibx = i / nby in
+          checkb "flat index decodes" true
+            (Tuning.equal t
+               {
+                 Tuning.bx = a.Tuning.ax_bx.(ibx);
+                 by = a.Tuning.ax_by.(iby);
+                 bz = a.Tuning.ax_bz.(ibz);
+                 u = a.Tuning.ax_u.(iu);
+                 c = a.Tuning.ax_c.(ic);
+               }))
+        set)
+    [ 2; 3 ]
+
 (* ---- Tuning_problem ---- *)
 
 let test_tuning_problem_roundtrip () =
@@ -250,6 +353,11 @@ let suite =
     Alcotest.test_case "tuned config quality" `Quick test_autotuner_better_than_median;
     Alcotest.test_case "tuner save/load" `Quick test_autotuner_save_load;
     Alcotest.test_case "mode mismatch" `Quick test_autotuner_mode_mismatch;
+    Alcotest.test_case "tune/best = full rank head" `Quick test_tune_equals_full_rank_head;
+    Alcotest.test_case "tune/best ties resolve by index" `Quick test_best_ties_by_index;
+    qcheck_best_index_is_sort_head;
+    Alcotest.test_case "predefined axes <-> set correspondence" `Quick
+      test_predefined_axes_consistent;
     Alcotest.test_case "tuning problem" `Quick test_tuning_problem_roundtrip;
     Alcotest.test_case "hybrid rank+measure" `Quick test_hybrid_rank_then_measure;
     Alcotest.test_case "hybrid seeded search" `Quick test_hybrid_seeded_search;

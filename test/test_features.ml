@@ -20,14 +20,14 @@ let test_all_values_in_unit_interval () =
     (fun mode ->
       List.iter
         (fun (inst, t) ->
-          let v = Features.encode_dense mode inst t in
+          let v = Sorl_util.Sparse.to_dense (Features.encode mode inst t) in
           checki "dimension" (Features.dim mode) (Array.length v);
           Array.iter (fun x -> checkb "in [0,1]" true (x >= 0. && x <= 1.)) v)
         [ (inst3, t3); (inst2, t2) ])
     [ Features.Canonical; Features.Extended ]
 
 let test_pattern_cells () =
-  let v = Features.encode_dense Features.Canonical inst3 t3 in
+  let v = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst3 t3) in
   (* laplacian r1: 7 pattern cells set to 1 (single buffer). *)
   let ones = Array.fold_left (fun acc i -> acc +. i) 0. (Array.sub v 0 Pattern.cells) in
   Alcotest.check feq "7 cells" 7. ones;
@@ -37,27 +37,27 @@ let test_multibuffer_pattern_normalized () =
   (* divergence: 3 buffers, disjoint single-axis reads -> each accessed
      cell has multiplicity 1/3. *)
   let inst = Benchmarks.instance_by_name "divergence-128x128x128" in
-  let v = Features.encode_dense Features.Canonical inst t3 in
+  let v = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst t3) in
   Alcotest.check feq "multiplicity 1/3" (1. /. 3.) v.(Pattern.cell_index (1, 0, 0));
   Alcotest.check feq "center unread" 0. v.(Pattern.cell_index (0, 0, 0))
 
 let test_dtype_and_buffers () =
-  let v_double = Features.encode_dense Features.Canonical inst3 t3 in
+  let v_double = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst3 t3) in
   Alcotest.check feq "double flag" 1. v_double.(Pattern.cells + 1);
   Alcotest.check feq "1 buffer" 0.25 v_double.(Pattern.cells);
-  let v_float = Features.encode_dense Features.Canonical inst2 t2 in
+  let v_float = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst2 t2) in
   Alcotest.check feq "float flag" 0. v_float.(Pattern.cells + 1)
 
 let test_size_features () =
-  let v = Features.encode_dense Features.Canonical inst3 t3 in
+  let v = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst3 t3) in
   (* 128 = 2^7, normalized by 11. *)
   Alcotest.check feq "size_x" (7. /. 11.) v.(Pattern.cells + 2);
   Alcotest.check feq "size_z" (7. /. 11.) v.(Pattern.cells + 4);
-  let v2 = Features.encode_dense Features.Canonical inst2 t2 in
+  let v2 = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst2 t2) in
   Alcotest.check feq "2d size_z = log2(1)/11 = 0" 0. v2.(Pattern.cells + 4)
 
 let test_tuning_features () =
-  let v = Features.encode_dense Features.Canonical inst3 t3 in
+  let v = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst3 t3) in
   let base = Pattern.cells + 2 + 3 in
   Alcotest.check feq "bx = log2 64 / 10" 0.6 v.(base);
   Alcotest.check feq "by" 0.3 v.(base + 1);
@@ -85,7 +85,7 @@ let test_instance_features_cancel_in_pairs () =
     (Sorl_util.Sparse.nonzeros d)
 
 let test_extended_bins_one_hot () =
-  let v = Features.encode_dense Features.Extended inst3 t3 in
+  let v = Sorl_util.Sparse.to_dense (Features.encode Features.Extended inst3 t3) in
   (* each one-hot bin group contributes exactly 1 beyond canonical +
      continuous: total mass of the extension is continuous + 9 bins. *)
   let ext = Array.sub v 353 (480 - 353) in
@@ -131,13 +131,13 @@ let qcheck_tests =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300 ~name:"extended encoding stays in [0,1]" gen_tuning3
          (fun t ->
-           let v = Features.encode_dense Features.Extended inst3 t in
+           let v = Sorl_util.Sparse.to_dense (Features.encode Features.Extended inst3 t) in
            Array.for_all (fun x -> x >= 0. && x <= 1.) v));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300 ~name:"canonical is a prefix of extended" gen_tuning3
          (fun t ->
-           let c = Features.encode_dense Features.Canonical inst3 t in
-           let e = Features.encode_dense Features.Extended inst3 t in
+           let c = Sorl_util.Sparse.to_dense (Features.encode Features.Canonical inst3 t) in
+           let e = Sorl_util.Sparse.to_dense (Features.encode Features.Extended inst3 t) in
            Array.sub e 0 (Array.length c) = c));
   ]
 

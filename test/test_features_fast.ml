@@ -1,6 +1,6 @@
 (* Tests for the zero-allocation ranking fast path: compiled encoders
-   and CSR batches must be bit-identical to the entry-list paths they
-   replace, the measurement memo must be invisible except for the hit
+   and packed encoding blocks must be bit-identical to the entry-list
+   paths they replace, the measurement memo must be invisible except for the hit
    counter, and the timer must discard its warm-up call. *)
 
 open Sorl_stencil
@@ -61,47 +61,33 @@ let qcheck_encode_into_parity =
                [ inst3; inst2 ])
            modes))
 
-let qcheck_encode_csr_parity =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"encode_csr rows bit-identical to encode"
-       QCheck2.Gen.(array_size (return 13) gen_tuning3)
-       (fun ts ->
-         List.for_all
-           (fun mode ->
-             let c = Features.compile mode inst3 in
-             let csr = Features.encode_csr c ts in
-             Sparse.Csr.rows csr = Array.length ts
-             && Array.for_all Fun.id
-                  (Array.mapi
-                     (fun i t ->
-                       Sparse.equal ~eps:0. (Sparse.Csr.row csr i)
-                         (Features.encode mode inst3 t))
-                     ts))
-           modes))
+(* ---- packed blocks: encode_at rows and range_scorer vs encode/score ---- *)
 
-(* ---- CSR / slice scoring vs the sparse-vector scorer ---- *)
-
-let qcheck_score_parity =
+let qcheck_block_parity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"score_csr and slice_scorer match score"
+    (QCheck2.Test.make ~count:60 ~name:"encode_at rows and range_scorer match encode/score"
        QCheck2.Gen.(array_size (return 11) gen_tuning3)
        (fun ts ->
          List.for_all
            (fun mode ->
              let c = Features.compile mode inst3 in
              let m = dummy_model (Features.compiled_dim c) in
-             let csr = Features.encode_csr c ts in
-             let batch = Model.score_csr m csr in
-             let slice = Model.slice_scorer m in
-             let idx = Array.make (Features.max_nnz c) 0 in
-             let v = Array.make (Features.max_nnz c) 0. in
-             Array.for_all Fun.id
-               (Array.mapi
-                  (fun i t ->
-                    let reference = Model.score m (Features.encode mode inst3 t) in
-                    let n = Features.encode_into c t idx v in
-                    batch.(i) = reference && slice idx v n = reference)
-                  ts))
+             let score = Model.range_scorer m in
+             let cap = Array.length ts * Features.max_nnz c in
+             let idx = Array.make cap 0 and v = Array.make cap 0. in
+             let pos = ref 0 in
+             Array.for_all
+               (fun t ->
+                 let lo = !pos in
+                 let hi = Features.encode_at c t idx v lo in
+                 pos := hi;
+                 let reference = Features.encode mode inst3 t in
+                 Sparse.equal ~eps:0.
+                   (Sparse.of_list ~dim:(Features.compiled_dim c)
+                      (List.init (hi - lo) (fun k -> (idx.(lo + k), v.(lo + k)))))
+                   reference
+                 && score idx v lo hi = Model.score m reference)
+               ts)
            modes))
 
 (* ---- ranking fast path vs scoring candidates one by one ---- *)
@@ -197,8 +183,7 @@ let test_timer_warmup_discarded () =
 let suite =
   [
     qcheck_encode_into_parity;
-    qcheck_encode_csr_parity;
-    qcheck_score_parity;
+    qcheck_block_parity;
     Alcotest.test_case "rank matches seed path" `Quick test_rank_matches_seed_path;
     Alcotest.test_case "measure cache hits and identity" `Quick test_cache_hits_and_identity;
     Alcotest.test_case "measure cache LRU eviction" `Quick test_cache_lru_eviction;

@@ -204,22 +204,6 @@ let test_search_parity () =
         [ 2; 4 ])
     Sorl_search.Registry.paper_baselines
 
-let test_encode_csr_matches_encode () =
-  let inst = List.nth tiny_instances 1 in
-  let rng = Sorl_util.Rng.create 9 in
-  let tunings = Array.init 40 (fun _ -> Tuning.random rng ~dims:3) in
-  List.iter
-    (fun mode ->
-      let csr = Features.encode_csr (Features.compile mode inst) tunings in
-      Array.iteri
-        (fun i t ->
-          checkb "CSR row bit-identical" true
-            (Sorl_util.Sparse.equal ~eps:0.
-               (Sorl_util.Sparse.Csr.row csr i)
-               (Features.encode mode inst t)))
-        tunings)
-    [ Features.Canonical; Features.Extended ]
-
 let test_bqueue_close_idempotent () =
   (* the reactor closes the worker queue during shutdown and so may a
      second stop path: double-close must be safe and drainable *)
@@ -250,7 +234,6 @@ let suite =
     Alcotest.test_case "held-out taus parity" `Quick test_taus_parity;
     Alcotest.test_case "eval taus parity" `Quick test_eval_taus_parity;
     Alcotest.test_case "search outcome parity" `Quick test_search_parity;
-    Alcotest.test_case "encode_csr matches encode" `Quick test_encode_csr_matches_encode;
     Alcotest.test_case "bqueue close is idempotent and drainable" `Quick
       test_bqueue_close_idempotent;
   ]

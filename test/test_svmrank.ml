@@ -203,11 +203,13 @@ let test_untrainable_dataset_rejected () =
 let test_model_rank_stable () =
   let model = Model.create [| 1.; 0. |] in
   let c v = Sparse.of_dense v in
-  let order = Model.rank model [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |] in
+  let rank cands = Model.sort_by_score (Array.map (Model.score model) cands) in
+  let order = rank [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |] in
   Alcotest.(check (array int)) "ascending score" [| 1; 2; 0 |] order;
-  checki "best" 1 (Model.best model [| c [| 3.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Model.best: no candidates") (fun () ->
-      ignore (Model.best model [||]))
+  Alcotest.(check (array int)) "ties by index" [| 1; 0; 2 |]
+    (rank [| c [| 2.; 0. |]; c [| 1.; 0. |]; c [| 2.; 0. |] |]);
+  Alcotest.(check (array int)) "0. and -0. tie" [| 0; 1 |] (Model.sort_by_score [| 0.; -0. |]);
+  Alcotest.(check (array int)) "empty" [||] (rank [||])
 
 let test_model_serialization () =
   let model = Model.create [| 0.5; 0.; -1.25 |] in
