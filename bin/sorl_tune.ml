@@ -427,7 +427,10 @@ let name_arg =
   Arg.(value & opt string "default" & info [ "name" ] ~docv:"NAME" ~doc)
 
 let queue_arg =
-  let doc = "Pending-connection queue capacity (beyond it, clients get `err busy')." in
+  let doc =
+    "Worker queue capacity in request batches; a batch that needs a worker and finds it full \
+     gets `err busy'.  The server answers reads (rank, tune, info, stats) without queueing."
+  in
   Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
 
 let timeout_s_arg =

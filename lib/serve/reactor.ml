@@ -1,8 +1,11 @@
 type conn = {
   fd : Unix.file_descr;
   mutable partial : string;  (** bytes of an incomplete trailing line *)
-  pending : string Queue.t;  (** complete lines not yet handed to a worker *)
+  pending : string Queue.t;  (** complete lines not yet served *)
   mutable busy : bool;  (** a worker holds a batch for this connection *)
+  mutable out : string;  (** replies the reactor is writing to this connection *)
+  mutable out_off : int;  (** bytes of [out] the socket has taken *)
+  mutable shed : bool;  (** answered [busy]: close once [out] is written *)
   mutable eof : bool;  (** peer closed or read failed; close once drained *)
   mutable closed : bool;
   mutable last_active : float;
@@ -17,7 +20,8 @@ type t = {
   max_connections : int;
   idle_timeout_s : float;
   shed_timeout_s : float;
-  busy_reply : string;
+  busy_line : string;  (** the busy reply with its newline *)
+  answer : string list -> (Buffer.t -> unit) option;
   on_connection : unit -> unit;
   on_shed : unit -> unit;
   on_pipelined : int -> unit;
@@ -27,6 +31,7 @@ type t = {
   comp_m : Mutex.t;
   completions : (conn * bool) Queue.t;  (** (conn, close requested) *)
   scratch : Bytes.t;
+  reply : Buffer.t;  (** assembles the replies of a batch the reactor answers *)
 }
 
 let conn_fd c = c.fd
@@ -61,7 +66,7 @@ let write_all ?(timeout_s = 10.) fd s =
   go 0
 
 let create ~listen_fd ~queue ~stopping ?(max_connections = 512) ?(idle_timeout_s = 10.)
-    ~busy_reply ~on_connection ~on_shed ~on_pipelined () =
+    ?(answer = fun _ -> None) ~busy_reply ~on_connection ~on_shed ~on_pipelined () =
   (try Unix.set_nonblock listen_fd with Unix.Unix_error _ -> ());
   let wake_r, wake_w = Unix.pipe () in
   (try
@@ -75,7 +80,8 @@ let create ~listen_fd ~queue ~stopping ?(max_connections = 512) ?(idle_timeout_s
     max_connections;
     idle_timeout_s;
     shed_timeout_s = Float.min idle_timeout_s 2.;
-    busy_reply;
+    busy_line = busy_reply ^ "\n";
+    answer;
     on_connection;
     on_shed;
     on_pipelined;
@@ -85,6 +91,7 @@ let create ~listen_fd ~queue ~stopping ?(max_connections = 512) ?(idle_timeout_s
     comp_m = Mutex.create ();
     completions = Queue.create ();
     scratch = Bytes.create 4096;
+    reply = Buffer.create 4096;
   }
 
 let close_conn t c =
@@ -93,6 +100,8 @@ let close_conn t c =
     Hashtbl.remove t.conns c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
+
+let writing c = c.out_off < String.length c.out
 
 (* Append freshly read bytes, splitting off every complete line.  Bare
    empty lines are skipped, exactly as the channel-based loop skipped
@@ -112,32 +121,65 @@ let consume c data =
   in
   go 0
 
-(* Shed a batch (or a fresh connection) with explicit busy replies.
-   The descriptor is still in blocking mode only on the accept path, so
-   set the send timeout first — and [write_all] bounds the wait either
-   way — lest one slow client stall the whole reactor. *)
-let shed_fd t fd replies =
-  t.on_shed ();
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.shed_timeout_s with Unix.Unix_error _ -> ());
-  let text = String.concat "" (List.map (fun r -> r ^ "\n") replies) in
-  ignore (write_all ~timeout_s:t.shed_timeout_s fd text)
+(* [c] has nothing in flight (no worker batch, no unwritten reply):
+   serve the lines that buffered meanwhile, or close it when it was
+   shed, its peer is gone, or the server is stopping. *)
+let rec settle t c =
+  if c.closed || c.busy || writing c then ()
+  else if c.shed || Atomic.get t.stopping then close_conn t c
+  else if not (Queue.is_empty c.pending) then dispatch t c
+  else if c.eof then close_conn t c
 
-let dispatch t c =
-  if (not c.busy) && (not c.closed) && not (Queue.is_empty c.pending) then begin
-    let lines = List.of_seq (Queue.to_seq c.pending) in
-    Queue.clear c.pending;
+(* Hand [s] to the socket as far as it takes it now, never waiting:
+   the rest goes out as [select] reports the descriptor writable. *)
+and send t c s =
+  c.out <- s;
+  c.out_off <- 0;
+  flush_out t c
+
+and flush_out t c =
+  match Unix.write_substring c.fd c.out c.out_off (String.length c.out - c.out_off) with
+  | n ->
+    c.out_off <- c.out_off + n;
+    c.last_active <- Unix.gettimeofday ();
+    if writing c then flush_out t c
+    else begin
+      c.out <- "";
+      c.out_off <- 0;
+      settle t c
+    end
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_out t c
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (_, _, _) -> close_conn t c
+
+(* Answer [n] requests with busy and close the connection once the
+   replies are written. *)
+and shed t c n =
+  t.on_shed ();
+  c.shed <- true;
+  Queue.clear c.pending;
+  send t c (String.concat "" (List.init n (fun _ -> t.busy_line)))
+
+(* A batch the [answer] hook takes is answered here, on the reactor;
+   any other goes to the workers whole, or, with their queue full (or
+   draining), is shed. *)
+and dispatch t c =
+  let lines = List.of_seq (Queue.to_seq c.pending) in
+  Queue.clear c.pending;
+  let n = List.length lines in
+  match t.answer lines with
+  | Some answer ->
+    (* counted before it is answered, so a [stats] in the batch sees it *)
+    if n > 1 then t.on_pipelined n;
+    Buffer.clear t.reply;
+    answer t.reply;
+    send t c (Buffer.contents t.reply)
+  | None ->
     if Sorl_util.Bqueue.try_push t.queue { conn = c; lines } then begin
       c.busy <- true;
-      let n = List.length lines in
       if n > 1 then t.on_pipelined n
     end
-    else begin
-      (* Worker queue full (or draining): answer every request in the
-         batch with busy and drop the connection. *)
-      shed_fd t c.fd (List.map (fun _ -> t.busy_reply) lines);
-      close_conn t c
-    end
-  end
+    else shed t c n
 
 let accept_ready t =
   let rec go () =
@@ -146,24 +188,24 @@ let accept_ready t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error (_, _, _) -> ()
     | fd, _ ->
-      if Hashtbl.length t.conns >= t.max_connections then begin
-        shed_fd t fd [ t.busy_reply ];
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      end
-      else begin
-        t.on_connection ();
-        (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-        Hashtbl.replace t.conns fd
-          {
-            fd;
-            partial = "";
-            pending = Queue.create ();
-            busy = false;
-            eof = false;
-            closed = false;
-            last_active = Unix.gettimeofday ();
-          }
-      end;
+      (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
+      let c =
+        {
+          fd;
+          partial = "";
+          pending = Queue.create ();
+          busy = false;
+          out = "";
+          out_off = 0;
+          shed = false;
+          eof = false;
+          closed = false;
+          last_active = Unix.gettimeofday ();
+        }
+      in
+      let full = Hashtbl.length t.conns >= t.max_connections in
+      Hashtbl.replace t.conns fd c;
+      if full then shed t c 1 else t.on_connection ();
       go ()
   in
   go ()
@@ -175,14 +217,15 @@ let read_conn t c =
     | n ->
       c.last_active <- Unix.gettimeofday ();
       consume c (Bytes.sub_string t.scratch 0 n);
-      if String.length c.partial > max_line_bytes then c.eof <- true else drain ()
+      (* a short read emptied the socket; more data wakes [select] again *)
+      if String.length c.partial > max_line_bytes then c.eof <- true
+      else if n = Bytes.length t.scratch then drain ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> c.eof <- true
   in
   drain ();
-  if not (Queue.is_empty c.pending) then dispatch t c;
-  if c.eof && (not c.busy) && Queue.is_empty c.pending then close_conn t c
+  settle t c
 
 let complete t conn ~close =
   Mutex.protect t.comp_m (fun () -> Queue.add (conn, close) t.completions);
@@ -219,49 +262,60 @@ let process_completions t =
     (fun (c, close_requested) ->
       c.busy <- false;
       c.last_active <- Unix.gettimeofday ();
-      if close_requested || Atomic.get t.stopping then close_conn t c
-      else if not (Queue.is_empty c.pending) then
-        (* lines that buffered while the batch was in flight *)
-        dispatch t c
-      else if c.eof then close_conn t c)
+      if close_requested then close_conn t c else settle t c)
     items
 
+(* A connection a worker holds is never swept: the worker's own write
+   deadline bounds it.  One whose replies wait on a peer that does not
+   read is, so it cannot pin memory; a shed one, which has nothing left
+   to serve, gets the shorter [shed_timeout_s]. *)
 let sweep_idle t =
   let now = Unix.gettimeofday () in
   let victims =
     Hashtbl.fold
       (fun _ c acc ->
-        if (not c.busy) && now -. c.last_active > t.idle_timeout_s then c :: acc else acc)
+        let limit = if c.shed then t.shed_timeout_s else t.idle_timeout_s in
+        if (not c.busy) && now -. c.last_active > limit then c :: acc else acc)
       t.conns []
   in
   List.iter (close_conn t) victims
 
-let busy_count t = Hashtbl.fold (fun _ c n -> if c.busy then n + 1 else n) t.conns 0
+let flush_writable t writable =
+  List.iter
+    (fun fd ->
+      match Hashtbl.find_opt t.conns fd with
+      | Some c when writing c -> flush_out t c
+      | Some _ | None -> ())
+    writable
 
 let run t =
   let rec live () =
     if not (Atomic.get t.stopping) then begin
-      let rfds =
+      (* A connection is watched for reads only when nothing is in
+         flight on it, and for writes only while a reply waits. *)
+      let rfds, wfds =
         Hashtbl.fold
-          (fun fd c acc -> if c.busy || c.closed then acc else fd :: acc)
+          (fun fd c (r, w) ->
+            if writing c then (r, fd :: w) else if c.busy then (r, w) else (fd :: r, w))
           t.conns
-          [ t.listen_fd; t.wake_r ]
+          ([ t.listen_fd; t.wake_r ], [])
       in
       (* The timeout doubles as the poll interval for the stopping flag
          and the idle sweep. *)
-      (match Unix.select rfds [] [] 0.05 with
+      (match Unix.select rfds wfds [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
+      | ready, writable, _ ->
         if List.memq t.wake_r ready then begin
           drain_wake t;
           process_completions t
         end;
+        flush_writable t writable;
         if List.memq t.listen_fd ready then accept_ready t;
         List.iter
           (fun fd ->
             if fd <> t.listen_fd && fd <> t.wake_r then
               match Hashtbl.find_opt t.conns fd with
-              | Some c when not c.busy -> read_conn t c
+              | Some c when (not c.busy) && not (writing c) -> read_conn t c
               | Some _ | None -> ())
           ready);
       sweep_idle t;
@@ -269,23 +323,32 @@ let run t =
     end
   in
   live ();
-  (* Graceful drain: nothing new is queued, queued batches are still
-     popped and answered by the workers, and every in-flight batch
-     completes before its connection is torn down. *)
+  (* Graceful drain: nothing new is queued or read, queued batches are
+     still popped and answered by the workers, every in-flight batch
+     completes and every unwritten reply goes out (or meets the idle
+     sweep) before its connection is torn down. *)
   Sorl_util.Bqueue.close t.queue;
-  let idle = Hashtbl.fold (fun _ c acc -> if c.busy then acc else c :: acc) t.conns [] in
+  let idle =
+    Hashtbl.fold (fun _ c acc -> if c.busy || writing c then acc else c :: acc) t.conns []
+  in
   List.iter (close_conn t) idle;
+  (* Every connection left has something in flight; each closes as it
+     completes or its reply drains ([settle] while stopping). *)
   let rec drain () =
     process_completions t;
-    if busy_count t > 0 then begin
-      (match Unix.select [ t.wake_r ] [] [] 0.05 with
+    if Hashtbl.length t.conns > 0 then begin
+      let wfds =
+        Hashtbl.fold (fun fd c acc -> if writing c then fd :: acc else acc) t.conns []
+      in
+      (match Unix.select [ t.wake_r ] wfds [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ -> if ready <> [] then drain_wake t);
+      | ready, writable, _ ->
+        if ready <> [] then drain_wake t;
+        flush_writable t writable);
+      sweep_idle t;
       drain ()
     end
   in
   drain ();
-  let rest = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (close_conn t) rest;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()

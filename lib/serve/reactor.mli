@@ -1,39 +1,38 @@
 (** Event-driven connection multiplexer for the ranking server.
 
-    PR 4's model pinned one worker domain per connection for the
-    connection's whole lifetime, so 100 mostly-idle keep-alive clients
-    starved a 4-worker server.  The reactor inverts that: a single
-    domain owns {e every} connection — it accepts, does all the
-    (non-blocking) reading, splits the byte stream into complete
-    request lines, and hands {e ready request batches} (not
-    connections) to the worker pool through a bounded
-    {!Sorl_util.Bqueue}.  Idle connections cost one [select] slot;
-    workers only ever hold runnable work.
+    A single domain owns {e every} connection: it accepts, does all the
+    (non-blocking) reading and splits the byte stream into complete
+    request lines.  Idle connections cost one [select] slot.
 
-    Pipelining falls out of the framing: when one read drains several
-    buffered lines, they form a single batch, the worker answers them
-    in order into one buffer and pays one [write] for the whole train.
-    While a connection has a batch in flight it is not watched for
-    reads and never dispatched again, so replies on a connection are
-    always in request order.
+    A ready batch of lines is served in one of two places.  When the
+    [answer] hook takes it (the server's hook takes a batch whose every
+    line is a read of resident state), the reactor answers it itself,
+    with no hop to another domain.  Any other batch goes, whole, to the
+    worker pool through a bounded {!Sorl_util.Bqueue}.  Either way a
+    batch's replies leave in one write, so an N-deep pipeline pays one
+    syscall, not N flushes.  While a connection has a batch with a
+    worker, or reply bytes the socket has not taken yet, it is neither
+    read nor dispatched again, so replies on a connection are always in
+    request order.
 
-    Workers signal completion with {!complete}, which wakes the
-    [select] loop through a self-pipe; the reactor then either
-    dispatches the lines that buffered meanwhile, or closes the
-    connection (peer EOF, worker-requested close, or write failure).
+    The reactor never blocks in a write.  It writes its own replies
+    without waiting; what the socket does not take at once goes out as
+    [select] reports the descriptor writable.  A peer that never reads
+    its replies is closed by the idle sweep, so it cannot pin memory or
+    the loop.  Workers write their replies themselves with
+    {!write_all}, under a deadline, and signal completion with
+    {!complete}, which wakes the [select] loop through a self-pipe; the
+    reactor then dispatches the lines that buffered meanwhile, or closes
+    the connection (peer EOF, worker-requested close, or write failure).
     The reactor is the {e only} place a connection descriptor is ever
-    closed, which structurally rules out the double-close hazards of
-    the channel-based path it replaces.
+    closed, which structurally rules out double-close hazards.
 
     Backpressure has two layers, both answering with an [err busy]
-    frame written under a send timeout (a slow or malicious client must
-    not block the loop): at accept when [max_connections] is reached
-    (the connection is closed after the reply), and at dispatch when
-    the worker queue is full (the batch's requests are each answered
-    [busy] and the connection closed).
-
-    Telemetry: [serve.pipelined] counts requests that arrived as part
-    of a multi-request batch. *)
+    frame per request, written like any reactor reply, after which the
+    connection is closed: at accept when [max_connections] is reached,
+    and at dispatch when a batch needs a worker and the worker queue is
+    full.  A batch the reactor answers never queues, so it is never
+    shed. *)
 
 type t
 
@@ -54,6 +53,7 @@ val create :
   stopping:bool Atomic.t ->
   ?max_connections:int ->
   ?idle_timeout_s:float ->
+  ?answer:(string list -> (Buffer.t -> unit) option) ->
   busy_reply:string ->
   on_connection:(unit -> unit) ->
   on_shed:(unit -> unit) ->
@@ -61,15 +61,23 @@ val create :
   unit ->
   t
 (** Build a reactor around an already-listening descriptor.  Defaults:
-    [max_connections] 512, [idle_timeout_s] 10.  [busy_reply] is the
-    pre-encoded [err busy] line (without newline) used by both shed
-    paths.  [on_connection] / [on_shed] run on the reactor domain per
-    accepted and per shed connection respectively; [on_pipelined n]
-    fires for every dispatched batch of [n > 1] requests. *)
+    [max_connections] 512, [idle_timeout_s] 10, [answer] taking no
+    batch.  [answer lines] either declines the batch ([None]: it goes
+    to the workers) or returns the function that appends its replies,
+    one newline-terminated line per request, to the reactor's buffer;
+    the reactor calls it on its own domain.  The two steps are apart so
+    that [on_pipelined] counts a batch before it is answered.
+    [busy_reply] is the pre-encoded [err busy] line (without newline)
+    used by both shed paths.  [on_connection] / [on_shed] run on the
+    reactor domain per accepted and per shed connection respectively;
+    [on_pipelined n] fires for every served (not shed) batch of [n > 1]
+    requests: before the reactor answers it, or once it is queued for a
+    worker. *)
 
 val run : t -> unit
 (** The event loop.  Returns once [stopping] is set, every in-flight
-    batch has completed, and all connections are closed.  Closes the
+    batch has completed, every unwritten reply has been written (or its
+    connection swept idle), and all connections are closed.  Closes the
     worker queue on the way out so idle workers exit. *)
 
 val complete : t -> conn -> close:bool -> unit
@@ -78,7 +86,7 @@ val complete : t -> conn -> close:bool -> unit
     failed write).  Safe from any domain; wakes the loop. *)
 
 val write_all : ?timeout_s:float -> Unix.file_descr -> string -> (unit, string) result
-(** Write the whole string, retrying short writes, [EINTR] and
+(** Worker-side: write the whole string, retrying short writes, [EINTR] and
     [EAGAIN] (waiting for writability with [select]) until done or
     [timeout_s] (default 10) has elapsed.  Never raises; never blocks
     longer than the deadline even on a descriptor with a full send

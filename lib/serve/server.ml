@@ -66,6 +66,7 @@ type t = {
   busy_rejections : int Atomic.t;
   reloads : int Atomic.t;
   pipelined : int Atomic.t;
+  reactor_replies : int Atomic.t;  (** requests answered on the reactor domain *)
   mutable reactor : Reactor.t option;
   mutable reactor_domain : unit Domain.t option;
   mutable worker_domains : unit Domain.t list;
@@ -78,6 +79,7 @@ let connections_counter = Sorl_util.Telemetry.counter "serve.connections"
 let busy_counter = Sorl_util.Telemetry.counter "serve.busy"
 let reloads_counter = Sorl_util.Telemetry.counter "serve.reloads"
 let pipelined_counter = Sorl_util.Telemetry.counter "serve.pipelined"
+let reactor_replies_counter = Sorl_util.Telemetry.counter "serve.reactor_replies"
 let queue_depth_hist = Sorl_util.Telemetry.histogram "serve.queue_depth"
 let latency_hist = Sorl_util.Telemetry.histogram "serve.request_s"
 let observations_counter = Sorl_util.Telemetry.counter "serve.observations"
@@ -285,6 +287,7 @@ let handle_stats t =
        ("busy_rejections", Atomic.get t.busy_rejections);
        ("reloads", Atomic.get t.reloads);
        ("pipelined", Atomic.get t.pipelined);
+       ("reactor_replies", Atomic.get t.reactor_replies);
        ("result_cache_hits", Atomic.get t.hits);
        ("result_cache_entries", Array.length current.rankings);
        ("queue_depth", Sorl_util.Bqueue.length t.queue);
@@ -466,12 +469,12 @@ let dispatch t snapshot request =
     Atomic.set t.stopping true;
     outcome_of_response Protocol.Bye
 
-let handle_line t line =
+let handle_request t parsed =
   Atomic.incr t.requests;
   Sorl_util.Telemetry.incr requests_counter;
   let outcome =
     Sorl_util.Telemetry.time_hist latency_hist (fun () ->
-        match Protocol.parse_request line with
+        match parsed with
         | Error msg -> outcome_of_response (err Protocol.Bad_request msg)
         | Ok request -> (
           let snapshot = Atomic.get t.current in
@@ -485,12 +488,47 @@ let handle_line t line =
   end;
   outcome
 
+(* Serve one parsed request, appending its reply line to [buf]; true
+   when the reply is [bye]. *)
+let serve_into t buf parsed =
+  let o = Sorl_util.Telemetry.span "serve/request" (fun () -> handle_request t parsed) in
+  o.reply buf;
+  Buffer.add_char buf '\n';
+  o.bye
+
+(* ---- the reactor's own path ---- *)
+
+(* A batch whose every line is a rank/tune (bang forms too), info or
+   stats only reads resident state, so the reactor answers it without
+   a hop to a worker.  Any other verb, or a line that does not parse,
+   sends the whole batch to the workers: one place per batch keeps the
+   replies in request order with no further bookkeeping. *)
+let answer_on_reactor t lines =
+  let rec parse acc = function
+    | [] -> Some (List.rev acc)
+    | line :: rest -> (
+      match Protocol.parse_request line with
+      | Ok (Protocol.Rank _ | Protocol.Tune _ | Protocol.Info | Protocol.Stats) as r ->
+        parse (r :: acc) rest
+      | Ok _ | Error _ -> None)
+  in
+  Option.map
+    (fun requests buf ->
+      List.iter
+        (fun r ->
+          Atomic.incr t.reactor_replies;
+          Sorl_util.Telemetry.incr reactor_replies_counter;
+          ignore (serve_into t buf r))
+        requests)
+    (parse [] lines)
+
 (* ---- worker loop ---- *)
 
-(* Workers never see connections, only ready request batches: the
-   reactor owns every descriptor and all reading.  A batch's replies
-   are answered in request order into one buffer and leave in a single
-   write, so an N-deep pipeline pays one syscall, not N flushes. *)
+(* Workers never see connections, only ready request batches that the
+   reactor did not answer itself: the reactor owns every descriptor and
+   all reading.  A batch's replies are answered in request order into
+   one buffer and leave in a single write, so an N-deep pipeline pays
+   one syscall, not N flushes. *)
 let worker_loop t reactor =
   (* Worker domains live for the whole server; requests they process
      must not fan out into a second level of Pool domains. *)
@@ -506,14 +544,7 @@ let worker_loop t reactor =
             (fun line ->
               (* Requests pipelined behind a shutdown are not served:
                  the channel-based loop stopped reading after [Bye]. *)
-              if not !bye then begin
-                let o =
-                  Sorl_util.Telemetry.span "serve/request" (fun () -> handle_line t line)
-                in
-                o.reply buf;
-                Buffer.add_char buf '\n';
-                if o.bye then bye := true
-              end)
+              if not !bye then bye := serve_into t buf (Protocol.parse_request line))
             lines;
           let wrote =
             Reactor.write_all ~timeout_s:t.conn_timeout_s (Reactor.conn_fd conn)
@@ -604,6 +635,7 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
           busy_rejections = Atomic.make 0;
           reloads = Atomic.make 0;
           pipelined = Atomic.make 0;
+          reactor_replies = Atomic.make 0;
           reactor = None;
           reactor_domain = None;
           worker_domains = [];
@@ -612,7 +644,7 @@ let start ?(address = Protocol.Unix_path "sorl.sock") ?workers ?(queue_capacity 
       in
       let reactor =
         Reactor.create ~listen_fd ~queue:t.queue ~stopping:t.stopping ~max_connections
-          ~idle_timeout_s:conn_timeout_s
+          ~idle_timeout_s:conn_timeout_s ~answer:(answer_on_reactor t)
           ~busy_reply:
             (Protocol.encode_response (err Protocol.Busy "server busy, retry later"))
           ~on_connection:(fun () ->

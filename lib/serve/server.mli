@@ -1,18 +1,24 @@
-(** The ranking server: event-driven connection multiplexer, worker
-    domains, resident per-generation rankings, backpressure, hot
-    reload.
+(** The ranking server: event-driven connection multiplexer, reads
+    answered on the reactor, worker domains for everything else,
+    resident per-generation rankings, backpressure, hot reload.
 
     A single reactor domain ({!Reactor}) owns every connection: it
-    accepts, reads, frames the byte stream into request lines, and
-    hands {e ready request batches} to [workers] long-lived worker
-    domains through a bounded {!Sorl_util.Bqueue}.  Idle keep-alive
-    connections therefore cost one [select] slot instead of pinning a
-    worker, and any number of mostly-idle clients coexist with a small
-    worker pool.  Requests a client pipelines (several lines buffered
-    before the server reads) are answered in order with a single
-    write.  Worker domains run under {!Sorl_util.Pool.serially}, so the
-    ranking builds of a [reload] or [canary] never fan out into a second
-    level of domains.
+    accepts, reads and frames the byte stream into request lines.  A
+    ready batch whose every line is a [rank]/[tune] (bang forms
+    included), [info] or [stats] is a read of resident state, and the
+    reactor answers it itself: each line is parsed once and served by
+    the same code, counters and [serve/request] span a worker uses, and
+    the replies leave in one non-blocking write.  A read therefore
+    costs no cross-domain wake-up.  Any batch holding another verb
+    ([observe], [reload], [canary], [promote], [shutdown]) or a line
+    that does not parse goes, whole, to [workers] long-lived worker
+    domains through a bounded {!Sorl_util.Bqueue}; one place per batch
+    keeps replies in request order.  Idle keep-alive connections cost
+    one [select] slot, and requests a client pipelines (several lines
+    buffered before the server reads) are answered in order with a
+    single write.  Worker domains run under {!Sorl_util.Pool.serially},
+    so the ranking builds of a [reload] or [canary] never fan out into
+    a second level of domains, and never delay a read.
 
     The hot path is a slice of a resident ranking.  Under one model,
     [rank k] is the first [k] of the benchmark's full ranking of the
@@ -46,9 +52,10 @@
     retired it.
 
     Backpressure is explicit: when [max_connections] is reached at
-    accept, or the worker queue is full at dispatch, the client gets an
-    [err busy] reply (written under a send timeout so a slow client
-    cannot block the reactor) and the connection is closed.
+    accept, or a batch needs a worker and the worker queue is full, the
+    client gets one [err busy] reply per request (written without
+    blocking, like every reactor reply) and the connection is closed.
+    Reads never queue, so they are never shed.
 
     {2 Online learning}
 
@@ -75,16 +82,20 @@
 
     Shutdown (the protocol request, or {!stop}) is graceful: the
     reactor stops accepting, queued batches drain, in-flight requests
-    complete and are answered, then the domains exit and {!wait}
-    returns.
+    complete and are answered, unwritten replies go out, then the
+    domains exit and {!wait} returns.
 
     Telemetry (when enabled): [serve.requests], [serve.errors],
     [serve.connections], [serve.busy], [serve.reloads],
-    [serve.pipelined] counters, a [serve/request] span per request and
-    [serve.request_s] / [serve.queue_depth] histograms.  The [stats]
-    request exports these and more.  The [result_cache_*] keys keep
-    their names: [result_cache_hits] counts rank/tune replies sliced
-    from a resident ranking (every one for a known benchmark), and
+    [serve.pipelined], [serve.reactor_replies] counters, a
+    [serve/request] span per request and [serve.request_s] /
+    [serve.queue_depth] histograms.  The [stats] request exports these
+    and more; [reactor_replies] counts the requests answered on the
+    reactor, so it equals [requests] for a server that only saw reads.
+    The [result_cache_*] keys keep their names although no result cache
+    is left, because perfbench and [bench/] read them by those names:
+    [result_cache_hits] counts rank/tune replies sliced from a resident
+    ranking (every one for a known benchmark), and
     [result_cache_entries] the rankings resident in the current
     generation (one per registered benchmark). *)
 
@@ -121,9 +132,9 @@ val start :
 (** Load the initial model, build every benchmark's ranking, bind the
     listener and spawn the reactor and worker domains.  Defaults:
     [unix:sorl.sock], [Sorl_util.Pool.default_domains ()] workers,
-    queue capacity 64 batches, 10 s idle/write timeout, 512
-    connections.  [Tcp (host, 0)] binds an ephemeral port — read the
-    real one back from {!address}.  Bad arguments ([workers] or
+    worker queue capacity 64 batches (reads never queue), 10 s
+    idle/write timeout, 512 connections.  [Tcp (host, 0)] binds an
+    ephemeral port — read the real one back from {!address}.  Bad arguments ([workers] or
     [queue_capacity] below 1, [holdout] out of range), an unloadable
     model or a failed build return [Error] with
     no descriptor, observation-log writer or socket file left open.

@@ -764,24 +764,27 @@ let test_server_busy_backpressure () =
   let server =
     start_server ~workers:1 ~queue_capacity:1 dir (file_source dir (Lazy.force tuner_a))
   in
-  (* c1 pipelines a train of full-depth ranks of the largest grid (one
-     batch, about 150 KB of reply per line) and does not read: the
-     single worker blocks writing the replies until c1 reads.  c2's
-     request then sits in the 1-slot queue, and c3's must be shed with
-     an explicit busy reply. *)
+  (* Only a batch that needs a worker can queue, so only such a batch
+     can be shed.  c1 pipelines a reload and then a train of full-depth
+     ranks of the largest grid (one batch, about 150 KB of reply per
+     rank) and does not read: the reload sends the whole batch to the
+     single worker, which blocks writing the replies until c1 reads.
+     c2's reload then sits in the 1-slot queue, and c3's must be shed
+     with an explicit busy reply. *)
   let train = 32 and heavy = "gradient-256x256x256" in
   let (_, ic1, oc1) as c1 = raw_connect server in
+  output_string oc1 "sorl1 reload\n";
   for _ = 1 to train do
     output_string oc1 ("sorl1 rank " ^ heavy ^ " 8640\n")
   done;
   flush oc1;
   Unix.sleepf 0.3;
   let (_, ic2, oc2) as c2 = raw_connect server in
-  output_string oc2 "sorl1 info\n";
+  output_string oc2 "sorl1 reload\n";
   flush oc2;
   Unix.sleepf 0.3;
   let (_, ic3, oc3) as c3 = raw_connect server in
-  output_string oc3 "sorl1 info\n";
+  output_string oc3 "sorl1 reload\n";
   flush oc3;
   (match get (Protocol.parse_response (input_line ic3)) with
   | Protocol.Error { code = Protocol.Busy; _ } -> ()
@@ -789,7 +792,18 @@ let test_server_busy_backpressure () =
   checkb "shed connection closed" true
     (match input_line ic3 with _ -> false | exception End_of_file -> true);
   raw_close c3;
+  (* a read is answered by the reactor, full queue or not *)
+  let (_, ic4, oc4) as c4 = raw_connect server in
+  output_string oc4 ("sorl1 rank " ^ benchmark ^ " 3\n");
+  flush oc4;
+  (match get (Protocol.parse_response (input_line ic4)) with
+  | Protocol.Ranked { tunings; _ } -> checki "rank answered while the queue is full" 3 (List.length tunings)
+  | r -> Alcotest.fail ("expected rank, got " ^ Protocol.encode_response r));
+  raw_close c4;
   (* the pipelined train is answered in full, in order *)
+  (match get (Protocol.parse_response (input_line ic1)) with
+  | Protocol.Reloaded _ -> ()
+  | r -> Alcotest.fail ("train head: expected reload, got " ^ Protocol.encode_response r));
   for i = 1 to train do
     match get (Protocol.parse_response (input_line ic1)) with
     | Protocol.Ranked _ -> ()
@@ -801,12 +815,12 @@ let test_server_busy_backpressure () =
   raw_close c1;
   (* the queued request is served once the worker frees up *)
   (match get (Protocol.parse_response (input_line ic2)) with
-  | Protocol.Info_reply _ -> ()
-  | r -> Alcotest.fail ("expected info, got " ^ Protocol.encode_response r));
+  | Protocol.Reloaded _ -> ()
+  | r -> Alcotest.fail ("expected reload, got " ^ Protocol.encode_response r));
   raw_close c2;
   let stats = get (Client.with_connection (Server.address server) Client.stats) in
   checkb "busy rejection counted" true (List.assoc "busy_rejections" stats >= 1);
-  checkb "pipelined train counted" true (List.assoc "pipelined" stats >= train);
+  checkb "pipelined train counted" true (List.assoc "pipelined" stats >= train + 1);
   shutdown_server server
 
 let test_server_hot_reload_under_load () =
@@ -1135,6 +1149,191 @@ let test_server_stats_not_blocked_by_reload () =
   raw_close stater;
   shutdown_server server
 
+(* ---- reads on the reactor ---- *)
+
+let full_rank_reply tuner name =
+  let inst = Benchmarks.instance_by_name name in
+  let ranked =
+    Sorl.Autotuner.rank tuner inst (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+  in
+  Protocol.encode_response
+    (Protocol.Ranked
+       { benchmark = name; total = Array.length ranked; tunings = Array.to_list ranked; approx = false })
+
+(* The next reply line, or a failure when none arrives within [s]. *)
+let reply_within ~s (fd, ic, _) =
+  (match Unix.select [ fd ] [] [] s with
+  | [], _, _ -> Alcotest.failf "no reply within %.0f s" s
+  | _ -> ());
+  get (Protocol.parse_response (input_line ic))
+
+(* A client that only reads never reaches a worker: every request it
+   sends is answered on the reactor and nothing queues. *)
+let test_reads_answered_on_reactor () =
+  with_temp_dir @@ fun dir ->
+  let server = start_server dir (file_source dir (Lazy.force tuner_a)) in
+  let stats =
+    get
+      (Client.with_connection (Server.address server) (fun c ->
+           ignore (get (Client.rank c ~benchmark ~top:4));
+           ignore (get (Client.tune c ~benchmark));
+           ignore (get (Client.info c));
+           ignore
+             (get
+                (Client.pipeline c
+                   [
+                     Protocol.Rank { benchmark; top = 2; approx_ok = true };
+                     Protocol.Tune { benchmark = "no-such-benchmark"; approx_ok = false };
+                     Protocol.Stats;
+                   ]));
+           Client.stats c))
+  in
+  checki "requests" 7 (List.assoc "requests" stats);
+  checki "every one answered on the reactor" 7 (List.assoc "reactor_replies" stats);
+  checki "nothing queued" 0 (List.assoc "queue_depth" stats);
+  shutdown_server server
+
+(* One write mixing lines the reactor answers with lines a worker
+   must: the batch goes to a worker whole, and the replies come back in
+   request order. *)
+let test_pipeline_mixed_verbs_in_order () =
+  let tuner = Lazy.force tuner_a in
+  let inst = Benchmarks.instance_by_name benchmark in
+  let direct =
+    Sorl.Autotuner.rank tuner inst (Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)))
+  in
+  with_temp_dir @@ fun dir ->
+  let obs_log = Filename.concat dir "observations.obs" in
+  let server = start_server ~obs_log dir (file_source dir tuner) in
+  let ((_, ic, oc) as conn) = raw_connect server in
+  List.iter
+    (fun r -> output_string oc (Protocol.encode_request r ^ "\n"))
+    [
+      Protocol.Rank { benchmark; top = 2; approx_ok = false };
+      Protocol.Observe { benchmark; tuning = direct.(5); cost = 0.25 };
+      Protocol.Tune { benchmark; approx_ok = false };
+      Protocol.Stats;
+    ];
+  flush oc;
+  let next () = get (Protocol.parse_response (input_line ic)) in
+  (match next () with
+  | Protocol.Ranked { tunings; _ } ->
+    checkb "rank first" true (tunings = Array.to_list (Array.sub direct 0 2))
+  | r -> Alcotest.fail ("expected rank, got " ^ Protocol.encode_response r));
+  (match next () with
+  | Protocol.Observed { total } -> checki "observe second" 1 total
+  | r -> Alcotest.fail ("expected observe, got " ^ Protocol.encode_response r));
+  (match next () with
+  | Protocol.Tuned { tuning; _ } -> checkb "tune third" true (Tuning.equal tuning direct.(0))
+  | r -> Alcotest.fail ("expected tune, got " ^ Protocol.encode_response r));
+  (match next () with
+  | Protocol.Stats_reply kvs -> checki "stats last, after the observe" 1 (List.assoc "obs_log_records" kvs)
+  | r -> Alcotest.fail ("expected stats, got " ^ Protocol.encode_response r));
+  raw_close conn;
+  shutdown_server server
+
+(* A rank written while the same connection's reload is in flight is
+   read only after the reload's reply: it is answered by the new
+   model. *)
+let test_rank_waits_for_inflight_reload () =
+  let a = Lazy.force tuner_a and b = Lazy.force tuner_b in
+  let inst = Benchmarks.instance_by_name benchmark in
+  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let top_of tuner = Array.to_list (Array.sub (Sorl.Autotuner.rank tuner inst set) 0 3) in
+  checkb "the models rank differently" true (top_of a <> top_of b);
+  with_temp_dir @@ fun dir ->
+  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
+  get (Model_store.save store ~name:"default" a);
+  get (Model_store.save store ~name:"other" b);
+  let server = start_server dir (Server.Store (store, "default")) in
+  let ((_, ic, oc) as conn) = raw_connect server in
+  output_string oc "sorl1 reload other\n";
+  flush oc;
+  (* let a worker take the reload and start its build *)
+  Unix.sleepf 0.01;
+  output_string oc ("sorl1 rank " ^ benchmark ^ " 3\n");
+  flush oc;
+  (match get (Protocol.parse_response (input_line ic)) with
+  | Protocol.Reloaded { model = "other"; generation = 1 } -> ()
+  | r -> Alcotest.fail ("expected the reload first, got " ^ Protocol.encode_response r));
+  (match get (Protocol.parse_response (input_line ic)) with
+  | Protocol.Ranked { tunings; _ } -> checkb "answered by the reloaded model" true (tunings = top_of b)
+  | r -> Alcotest.fail ("expected rank, got " ^ Protocol.encode_response r));
+  raw_close conn;
+  shutdown_server server
+
+(* A client that pipelines deep ranks and does not read holds about
+   4.8 MB of replies the socket cannot take.  With one worker, nothing
+   it holds is needed: another connection's reads are answered at once,
+   and once the slow client reads, it gets every reply, complete and in
+   order. *)
+let test_slow_reader_does_not_block_reads () =
+  let tuner = Lazy.force tuner_a in
+  let train = 32 and heavy = "gradient-256x256x256" in
+  let want = full_rank_reply tuner heavy in
+  with_temp_dir @@ fun dir ->
+  let server = start_server ~workers:1 dir (file_source dir tuner) in
+  let (_, ic1, oc1) as slow = raw_connect server in
+  for _ = 1 to train do
+    output_string oc1 ("sorl1 rank " ^ heavy ^ " 8640\n")
+  done;
+  flush oc1;
+  Unix.sleepf 0.2;
+  let ((_, _, oc2) as fast) = raw_connect server in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (line, ok) ->
+        output_string oc2 (line ^ "\n");
+        flush oc2;
+        let r = reply_within ~s:5. fast in
+        if not (ok r) then Alcotest.fail ("unexpected reply " ^ Protocol.encode_response r))
+      [
+        ( "sorl1 rank " ^ benchmark ^ " 3",
+          function Protocol.Ranked _ -> true | _ -> false );
+        ("sorl1 info", function Protocol.Info_reply _ -> true | _ -> false);
+        ("sorl1 reload", function Protocol.Reloaded _ -> true | _ -> false);
+      ]
+  done;
+  raw_close fast;
+  for i = 1 to train do
+    checks (Printf.sprintf "deep reply %d" i) want (input_line ic1)
+  done;
+  raw_close slow;
+  shutdown_server server
+
+(* A connection whose replies never drain is closed by the idle
+   timeout: its reader gets a prefix of the replies, then end of
+   file. *)
+let test_undrained_output_closed_by_idle_timeout () =
+  let tuner = Lazy.force tuner_a in
+  let train = 32 and heavy = "gradient-256x256x256" in
+  let want = full_rank_reply tuner heavy in
+  with_temp_dir @@ fun dir ->
+  let server = start_server ~conn_timeout_s:0.5 dir (file_source dir tuner) in
+  let (fd, ic, oc) as conn = raw_connect server in
+  for _ = 1 to train do
+    output_string oc ("sorl1 rank " ^ heavy ^ " 8640\n")
+  done;
+  flush oc;
+  Unix.sleepf 1.5;
+  (* a read that would wait past this fails instead of hanging *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  let lines = ref 0 and complete = ref 0 in
+  (try
+     while true do
+       incr lines;
+       if input_line ic = want then incr complete
+     done
+   with
+  | End_of_file -> ()
+  | Sys_error _ -> Alcotest.fail "connection left open");
+  checkb "some reply bytes written before the close" true (!lines > 1);
+  checkb "the rest dropped with the connection" true (!complete < train);
+  raw_close conn;
+  (* the server itself is unaffected *)
+  get (Client.with_connection (Server.address server) (fun c -> Result.map ignore (Client.info c)));
+  shutdown_server server
+
 (* Shadow agreement is counted exactly, before each reply is written:
    every rank/rank!/tune while a canary is loaded is one verdict, agree
    iff the first [min k n] entries of the two models' rankings match.
@@ -1299,6 +1498,16 @@ let suite =
       test_server_canary_cycle_zero_torn_replies;
     Alcotest.test_case "stats answers while a reload builds" `Quick
       test_server_stats_not_blocked_by_reload;
+    Alcotest.test_case "reactor: read-only client never queues" `Quick
+      test_reads_answered_on_reactor;
+    Alcotest.test_case "reactor: mixed pipeline in order" `Quick
+      test_pipeline_mixed_verbs_in_order;
+    Alcotest.test_case "reactor: rank waits for its reload" `Quick
+      test_rank_waits_for_inflight_reload;
+    Alcotest.test_case "reactor: slow reader blocks no reads" `Slow
+      test_slow_reader_does_not_block_reads;
+    Alcotest.test_case "reactor: undrained output closed idle" `Slow
+      test_undrained_output_closed_by_idle_timeout;
     Alcotest.test_case "canary: exact shadow accounting, replace, promote" `Slow
       test_server_shadow_accounting_exact;
   ]
