@@ -7,7 +7,7 @@
 
    Experiments: table2 table3 fig4 fig5 fig6 fig7 ablation baselines
    extensions stability csv perf rank-throughput serve-throughput
-   fleet-throughput micro telemetry-overhead online-learn.
+   fleet-throughput micro learn-kernels telemetry-overhead online-learn.
    See DESIGN.md for the experiment index and EXPERIMENTS.md for the
    paper-vs-measured discussion of one full run. *)
 
@@ -2421,6 +2421,101 @@ let online_learn () =
       exit 1
     end
 
+(* ---- learn-cycle kernels ---- *)
+
+(* The three CPU kernels of one learn cycle, timed serially (one pool
+   domain): a serving snapshot build (compile + full-grid
+   [rank_order] for every registered benchmark), its two halves
+   (encoding the grids, sorting the scores) and [Dataset.pairs] over a
+   17-query training slice at the serving cap of 500 pairs per query.
+   Each figure is the median of [reps] timed runs after one warm-up.
+   The digest covers every ranking and the sampled pair set, so two
+   builds of this harness can be checked for identical outputs. *)
+let learn_kernels () =
+  header "Learn-cycle kernels (serial, median of 9 runs)";
+  let reps = 9 in
+  let median_s f =
+    ignore (Sys.opaque_identity (f ()));
+    let ts =
+      Array.init reps (fun _ ->
+          Sorl_util.Timer.time_unit (fun () -> ignore (Sys.opaque_identity (f ()))))
+    in
+    Stats.median ts
+  in
+  let tuner = Sorl.Autotuner.train ~spec:Sorl.Training.default_spec measure in
+  let model = Sorl.Autotuner.model tuner in
+  let mode = Sorl.Autotuner.feature_mode tuner in
+  let insts = Array.of_list Benchmarks.instances in
+  let grids =
+    Array.map (fun i -> Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel i))) insts
+  in
+  let encs = Array.map (Features.compile mode) insts in
+  let candidates = Array.fold_left (fun n g -> n + Array.length g) 0 grids in
+  let build () =
+    Array.mapi (fun b inst -> Sorl.Autotuner.rank_order tuner (Features.compile mode inst) grids.(b)) insts
+  in
+  let encode () =
+    Array.iteri
+      (fun b g ->
+        let enc = encs.(b) in
+        let m = Features.max_nnz enc in
+        let idx = Array.make m 0 and v = Array.make m 0. in
+        Array.iter (fun tn -> ignore (Features.encode_into enc tn idx v)) g)
+      grids
+  in
+  let scores =
+    Array.mapi
+      (fun b g ->
+        let enc = encs.(b) in
+        let m = Features.max_nnz enc in
+        let idx = Array.make m 0 and v = Array.make m 0. in
+        let score = Sorl_svmrank.Model.range_scorer model in
+        Array.map (fun tn -> score idx v 0 (Features.encode_into enc tn idx v)) g)
+      grids
+  in
+  let sort () = Array.map Sorl_svmrank.Model.sort_by_score scores in
+  (* 290 grid points per benchmark, costed by the machine model: the
+     size of one training slice in a serving learn cycle. *)
+  let rng = Sorl_util.Rng.create 11 in
+  let ms =
+    List.concat
+      (List.mapi
+         (fun b inst ->
+           List.init 290 (fun _ ->
+               let tn = Sorl_util.Rng.choose rng grids.(b) in
+               (inst, tn, Sorl_machine.Cost_model.runtime_of machine inst tn)))
+         Benchmarks.instances)
+  in
+  let ds = Sorl.Training.of_measurements ~mode ms in
+  let pairs () =
+    Sorl_svmrank.Dataset.pairs ~max_per_query:500 ~rng:(Sorl_util.Rng.create 3) ds
+  in
+  Sorl_util.Pool.with_domains 1 (fun () ->
+      let build_s = median_s build in
+      let encode_s = median_s encode in
+      let sort_s = median_s sort in
+      let pairs_s = median_s pairs in
+      let digest =
+        let b = Buffer.create (4 * candidates) in
+        Array.iter (Array.iter (fun i -> Buffer.add_string b (string_of_int i ^ ","))) (build ());
+        Array.iter (fun (i, j) -> Buffer.add_string b (Printf.sprintf "%d:%d," i j)) (pairs ());
+        Digest.to_hex (Digest.string (Buffer.contents b))
+      in
+      let t = Table.create ~aligns:[ Table.Left; Table.Right ] [ "kernel"; "median" ] in
+      Table.add_row t
+        [ Printf.sprintf "snapshot build (%d benchmarks, %d candidates)" (Array.length insts) candidates;
+          Printf.sprintf "%.1f ms" (build_s *. 1e3) ];
+      Table.add_row t
+        [ "encode (compiled, all grids)";
+          Printf.sprintf "%.1f ms (%.0f ns/candidate)" (encode_s *. 1e3)
+            (encode_s /. float_of_int candidates *. 1e9) ];
+      Table.add_row t [ "sort_by_score (all grids)"; Printf.sprintf "%.1f ms" (sort_s *. 1e3) ];
+      Table.add_row t
+        [ Printf.sprintf "Dataset.pairs (%d samples, cap 500)" (Sorl_svmrank.Dataset.num_samples ds);
+          Printf.sprintf "%.1f ms" (pairs_s *. 1e3) ];
+      Table.print t;
+      Printf.printf "outputs digest (rankings + pairs): %s\n" digest)
+
 (* ---- driver ---- *)
 
 let experiments =
@@ -2441,6 +2536,7 @@ let experiments =
     ("serve-throughput", serve_throughput);
     ("fleet-throughput", fleet_throughput);
     ("micro", micro);
+    ("learn-kernels", learn_kernels);
     ("telemetry-overhead", telemetry_overhead);
     ("online-learn", online_learn);
   ]

@@ -358,10 +358,10 @@ type writer = {
   dir : string;
   m : Mutex.t;
   mutable oc : out_channel;
-  mutable count : int;  (* complete records on disk: replayed + appended *)
+  count : int Atomic.t;  (* complete records on disk: replayed + appended *)
   mutable tail_count : int;  (* records in the active segment *)
   mutable next_seq : int;
-  mutable sealed : int;  (* sealed segments on disk *)
+  sealed : int Atomic.t;  (* sealed segments on disk *)
   roll_at : int;  (* <= 0 disables automatic rolling *)
   fsync_on_seal : bool;
 }
@@ -546,10 +546,10 @@ let create ?(roll_at = default_roll_at) ?fsync_on_seal path =
           dir = path;
           oc;
           m = Mutex.create ();
-          count;
+          count = Atomic.make count;
           tail_count;
           next_seq;
-          sealed;
+          sealed = Atomic.make sealed;
           roll_at = (if roll_at <= 0 then 0 else roll_at);
           fsync_on_seal = fsync;
         }
@@ -568,7 +568,7 @@ let seal_locked w =
     Sys.rename active (Filename.concat w.dir (seg_name w.next_seq));
     if w.fsync_on_seal then fsync_dir w.dir;
     w.next_seq <- w.next_seq + 1;
-    w.sealed <- w.sealed + 1;
+    Atomic.incr w.sealed;
     w.tail_count <- 0;
     fresh_active w.dir;
     w.oc <- open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 active
@@ -585,12 +585,16 @@ let append w o =
   Mutex.protect w.m (fun () ->
       output_string w.oc line;
       flush w.oc;
-      w.count <- w.count + 1;
+      Atomic.incr w.count;
       w.tail_count <- w.tail_count + 1;
       if w.roll_at > 0 && w.tail_count >= w.roll_at then seal_locked w)
 
-let written w = Mutex.protect w.m (fun () -> w.count)
-let segments w = Mutex.protect w.m (fun () -> w.sealed)
+(* [count] and [sealed] change only under the mutex but are read
+   without it: a [stats] on the serving reactor must not wait behind an
+   append's flush or a seal's fsync.  A reader sees each counter as of
+   some moment during the call, never a torn value. *)
+let written w = Atomic.get w.count
+let segments w = Atomic.get w.sealed
 let path w = w.dir
 
 let close w =

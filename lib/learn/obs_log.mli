@@ -95,10 +95,11 @@ val seal : writer -> unit
 
 val written : writer -> int
 (** Complete records on disk: those recovered at {!create} plus those
-    appended since. *)
+    appended since.  Lock-free: never waits for an append or a seal in
+    progress. *)
 
 val segments : writer -> int
-(** Sealed segments on disk. *)
+(** Sealed segments on disk.  Lock-free, like {!written}. *)
 
 val path : writer -> string
 val close : writer -> unit

@@ -199,9 +199,19 @@ let per_benchmark_tau tuner obs =
           let scale = Float.max 1. (Float.max (Float.abs lo) (Float.abs hi)) in
           if hi -. lo <= 1e-9 *. scale then None
           else begin
+            (* One compiled encoder per benchmark, one scratch pair per
+               block: [encode_into] + [range_scorer] is bit-identical
+               to [Autotuner.score], without rebuilding the instance
+               entries for every record. *)
+            let enc = Features.compile (Sorl.Autotuner.feature_mode tuner) inst in
+            let score = Sorl_svmrank.Model.range_scorer (Sorl.Autotuner.model tuner) in
+            let idx = Array.make (Features.max_nnz enc) 0 in
+            let v = Array.make (Features.max_nnz enc) 0. in
             let scores =
               Array.of_list
-                (List.map (fun o -> Sorl.Autotuner.score tuner inst o.Obs_log.tuning) block)
+                (List.map
+                   (fun o -> score idx v 0 (Features.encode_into enc o.Obs_log.tuning idx v))
+                   block)
             in
             Some (name, Sorl_util.Rank_correlation.kendall_tau scores costs)
           end

@@ -59,7 +59,15 @@ let extended_dim = chunks_bins_base + count_bins
 let dim = function Canonical -> canonical_dim | Extended -> extended_dim
 
 let[@inline always] clamp01 v = if v < 0. then 0. else if v > 1. then 1. else v
-let[@inline always] clamp_int v lo hi = if v < lo then lo else if v > hi then hi else v
+
+(* Int-typed helpers for the encoding path.  [Stdlib.min]/[max] and an
+   unannotated comparison are polymorphic: each call goes through the
+   generic compare C function, and without flambda that is not
+   specialized away even when the arguments are ints.  Typed at [int],
+   every comparison below compiles to one machine compare. *)
+let[@inline always] imin (a : int) b = if a <= b then a else b
+let[@inline always] imax (a : int) b = if a >= b then a else b
+let[@inline always] clamp_int (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
 
 let[@inline always] log2_bin v lo hi =
   clamp_int (int_of_float (Float.round (lg2 v)) - lo) 0 (hi - lo)
@@ -153,8 +161,8 @@ let[@inline always] f_halo ws_pts tile_pts nbuf =
 let[@inline always] f_cover b s = clamp01 (float_of_int b /. float_of_int s)
 let[@inline always] f_simd_remainder b = clamp01 (float_of_int (b mod 8) /. 8.)
 let[@inline always] f_unroll_pressure u_eff taps = clamp01 (lg2i (u_eff * taps) /. 10.)
-let[@inline always] f_count x = clamp01 (lg2i (max 1 x) /. 24.)
-let[@inline always] count_bin x = clamp_int (log2_bin_i (max 1 x) 0 24 / 2) 0 (count_bins - 1)
+let[@inline always] f_count x = clamp01 (lg2i (imax 1 x) /. 24.)
+let[@inline always] count_bin x = clamp_int (log2_bin_i (imax 1 x) 0 24 / 2) 0 (count_bins - 1)
 
 (* Single source of truth for the tuning-dependent entries: every
    encoding path (entry lists, compiled fast path) writes
@@ -188,17 +196,17 @@ let write_tuning_entries ctx (t : Tuning.t) idx v pos =
     (* Derived static quantities coupling instance and tuning: tile
        volume, working-set and streaming-reuse footprints (summed over
        the buffer patterns), halo fraction, tile/chunk counts. *)
-    let bx = min t.Tuning.bx ctx.x_sx
-    and by = min t.Tuning.by ctx.x_sy
-    and bz = min t.Tuning.bz ctx.x_sz in
+    let bx = imin t.Tuning.bx ctx.x_sx
+    and by = imin t.Tuning.by ctx.x_sy
+    and bz = imin t.Tuning.bz ctx.x_sz in
     let tile_pts = bx * by * bz in
     let ws_pts = ref tile_pts and reuse_pts = ref bx in
     for p = 0 to Array.length ctx.x_rx - 1 do
-      let ex = min (bx + (2 * ctx.x_rx.(p))) ctx.x_sx
-      and ey = min (by + (2 * ctx.x_ry.(p))) ctx.x_sy
-      and ez = min (bz + (2 * ctx.x_rz.(p))) ctx.x_sz in
+      let ex = imin (bx + (2 * ctx.x_rx.(p))) ctx.x_sx
+      and ey = imin (by + (2 * ctx.x_ry.(p))) ctx.x_sy
+      and ez = imin (bz + (2 * ctx.x_rz.(p))) ctx.x_sz in
       ws_pts := !ws_pts + (ex * ey * ez);
-      reuse_pts := !reuse_pts + (ex * ey * min ((2 * ctx.x_rz.(p)) + 1) ctx.x_sz)
+      reuse_pts := !reuse_pts + (ex * ey * imin ((2 * ctx.x_rz.(p)) + 1) ctx.x_sz)
     done;
     let ws_pts = !ws_pts and reuse_pts = !reuse_pts in
     let ceil_div a b = (a + b - 1) / b in
@@ -206,7 +214,7 @@ let write_tuning_entries ctx (t : Tuning.t) idx v pos =
     let chunks = ceil_div tiles t.Tuning.c in
     let ws_bytes = float_of_int ws_pts *. ctx.x_bytes in
     let reuse_bytes = float_of_int reuse_pts *. ctx.x_bytes in
-    let u_eff = max 1 t.Tuning.u in
+    let u_eff = imax 1 t.Tuning.u in
     (* the continuous block, in [continuous_names] order *)
     let x = f_tile_volume tile_pts in
     if x <> 0. then begin idx.(!n) <- continuous_base; v.(!n) <- x; incr n end;

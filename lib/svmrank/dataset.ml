@@ -45,18 +45,26 @@ let query_ids t = Array.copy t.ids
 let query_members t q =
   match Hashtbl.find_opt t.members q with Some a -> Array.copy a | None -> raise Not_found
 
+(* A query's strict pairs, packed [i lsl 31 lor j] in (a, b)
+   enumeration order into one flat buffer: [(buf, m)] with the pairs in
+   [buf.(0 .. m-1)].  At most one of (a, b) and (b, a) is strict, so
+   n(n-1)/2 cells always suffice.  Sample indices stay far below 2^31
+   (a dataset that large could not be held in memory). *)
 let strict_pairs_of_query t idxs =
   let n = Array.length idxs in
-  let out = ref [] in
+  let rt = Array.map (fun i -> t.samples.(i).runtime) idxs in
+  let buf = Array.make (n * (n - 1) / 2) 0 in
+  let m = ref 0 in
   for a = 0 to n - 1 do
+    let ra = rt.(a) and i = idxs.(a) lsl 31 in
     for b = 0 to n - 1 do
-      if a <> b then begin
-        let i = idxs.(a) and j = idxs.(b) in
-        if t.samples.(i).runtime > t.samples.(j).runtime then out := (i, j) :: !out
+      if ra > rt.(b) then begin
+        buf.(!m) <- i lor idxs.(b);
+        incr m
       end
     done
   done;
-  !out
+  (buf, !m)
 
 (* Per-query pair construction is embarrassingly parallel (the O(n²)
    runtime comparisons dominate), so queries fan out over the pool.
@@ -65,7 +73,11 @@ let strict_pairs_of_query t idxs =
    the caller's generator — so each query's subsample depends only on
    (caller rng state, query position): the result is bit-identical for
    every pool size, serial included, and the caller's stream advances
-   by exactly one draw regardless of how many queries subsample. *)
+   by exactly one draw regardless of how many queries subsample.
+   Pair [k] of a query is buffer cell [m-1-k], reverse enumeration
+   order.  That order is part of the output: the subsample draws
+   [max_per_query] of its [m] positions, and the solvers visit pairs
+   in it.  Only the kept pairs are unpacked. *)
 let pairs ?max_per_query ?rng t =
   let base =
     match rng with
@@ -75,23 +87,24 @@ let pairs ?max_per_query ?rng t =
   let blocks =
     Sorl_util.Pool.parallel_map
       (fun qi ->
-        let q = t.ids.(qi) in
-        let ps = strict_pairs_of_query t (Hashtbl.find t.members q) in
+        let buf, m = strict_pairs_of_query t (Hashtbl.find t.members t.ids.(qi)) in
+        let nth k =
+          let p = buf.(m - 1 - k) in
+          (p lsr 31, p land 0x7fff_ffff)
+        in
         match max_per_query with
-        | Some cap when List.length ps > cap ->
+        | Some cap when m > cap ->
           if Option.is_none rng then invalid_arg "Dataset.pairs: subsampling requires ~rng";
           let qrng = Sorl_util.Rng.create (Sorl_util.Rng.derive_seed base qi) in
-          let arr = Array.of_list ps in
-          let keep = Sorl_util.Rng.sample_without_replacement qrng cap (Array.length arr) in
-          Array.map (fun k -> arr.(k)) keep
-        | _ -> Array.of_list ps)
+          Array.map nth (Sorl_util.Rng.sample_without_replacement qrng cap m)
+        | _ -> Array.init m nth)
       (Array.init (Array.length t.ids) Fun.id)
   in
   Array.concat (Array.to_list blocks)
 
 let num_possible_pairs t =
   Array.fold_left
-    (fun acc q -> acc + List.length (strict_pairs_of_query t (Hashtbl.find t.members q)))
+    (fun acc q -> acc + snd (strict_pairs_of_query t (Hashtbl.find t.members q)))
     0 t.ids
 
 let subset t n =

@@ -41,22 +41,64 @@ let range_scorer t =
     done;
     !acc
 
+(* Order contract: ascending score, and on equal scores (with [0.] and
+   [-0.] equal) the lower index first — for finite scores exactly the
+   order of sorting indices by the (score, index) pair.  A bottom-up
+   stable merge sort over the identity permutation gives that order by
+   construction: insertion-sorted runs of [insertion_run] indices,
+   then merges that take from the right half only when its head is
+   strictly smaller, so equal scores never swap.  Scores are compared
+   with [<] on a [float array], which compiles to an unboxed load and
+   one float compare — no closure call, no polymorphic compare.  Every
+   index held in the permutation arrays is below
+   [n = Array.length scores], so score loads through them skip the
+   bounds check. *)
+let insertion_run = 16
+
 let sort_by_score (scores : float array) =
-  let idx = Array.init (Array.length scores) (fun i -> i) in
-  (* The parameter annotation matters: without it this function is
-     inferred at ['a array] (the mli constrains only the interface, not
-     the compiled code) and every comparison goes through generic array
-     loads that box both floats plus a polymorphic compare call.
-     Annotated, the loads and comparisons are unboxed primitives.
-     Identical order for finite scores (ties, including 0. vs -0.,
-     fall through to the index). *)
-  Array.sort
-    (fun a b ->
-      if scores.(a) < scores.(b) then -1
-      else if scores.(b) < scores.(a) then 1
-      else compare (a : int) (b : int))
-    idx;
-  idx
+  let n = Array.length scores in
+  let[@inline always] sc i = Array.unsafe_get scores i in
+  let a = Array.init n Fun.id in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Int.min (!lo + insertion_run) n in
+    for i = !lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let s = sc x in
+      let j = ref (i - 1) in
+      while !j >= !lo && s < sc a.(!j) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref (Array.make n 0) in
+  let width = ref insertion_run in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min (!lo + !width) n and hi = Int.min (!lo + (2 * !width)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !j < hi && (!i >= mid || sc s.(!j) < sc s.(!i)) then begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+        else begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
 
 (* The head of [sort_by_score] in one pass: strict [<] keeps the
    earlier index on equal scores, and [0.] and [-0.] compare equal, so
@@ -123,8 +165,15 @@ let of_string s =
       (fun line ->
         match String.split_on_char ' ' line with
         | [ i; v ] -> (
-          try w.(int_of_string i) <- float_of_string v
-          with _ -> failwith "Model.of_string: bad weight line")
+          match (int_of_string_opt i, float_of_string_opt v) with
+          | Some i, Some x when i >= 0 && i < dim ->
+            (* A NaN or infinite weight makes every score it touches
+               non-finite, and [sort_by_score] defines no order for
+               NaN: refuse it here, so a loaded model always ranks. *)
+            if not (Float.is_finite x) then
+              failwith (Printf.sprintf "Model.of_string: non-finite weight %S at index %d" v i);
+            w.(i) <- x
+          | _ -> failwith "Model.of_string: bad weight line")
         | _ -> failwith "Model.of_string: bad weight line")
       weight_lines;
     { w }

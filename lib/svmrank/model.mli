@@ -27,7 +27,9 @@ val range_scorer : t -> int array -> float array -> int -> int -> float
 
 val sort_by_score : float array -> int array
 (** Permutation of indices sorting the given scores ascending, ties
-    broken by index (stable; [0.] and [-0.] tie). *)
+    broken by index (stable; [0.] and [-0.] tie).  For finite scores
+    this is exactly the order of comparing (score, index) pairs; no
+    order is defined when a score is NaN. *)
 
 val best_index : float array -> int
 (** [(sort_by_score scores).(0)] in one pass, without sorting: the
@@ -43,7 +45,8 @@ val save : t -> string -> unit
 
 val load : string -> t
 (** Raises [Failure] with a descriptive message on malformed,
-    wrong-version or truncated files. *)
+    wrong-version or truncated files, and on a NaN or infinite
+    weight. *)
 
 val to_string : t -> string
 val of_string : string -> t

@@ -115,6 +115,46 @@ let test_rank_matches_seed_path () =
   let seed = Array.map (fun i -> candidates.(i)) order in
   checkb "fast ranking identical to per-candidate path" true (fast = seed)
 
+(* Every registered benchmark's full-grid ranking, as a serving
+   snapshot builds it ([compile] + [rank_order]), against the list
+   encoding path scored one candidate at a time and ordered by the
+   (score, index) comparator sort that [sort_by_score] replaced.  Run
+   under a trained model and under one that weighs only the bx scalar,
+   whose scores tie across most of the grid. *)
+let served = lazy (Sorl.Autotuner.train ~spec:Sorl.Training.default_spec (Measure.model machine))
+
+let test_rank_order_all_benchmarks () =
+  let reference_sort (scores : float array) =
+    let idx = Array.init (Array.length scores) Fun.id in
+    Array.sort
+      (fun a b ->
+        if scores.(a) < scores.(b) then -1
+        else if scores.(b) < scores.(a) then 1
+        else compare (a : int) b)
+      idx;
+    idx
+  in
+  let trained = Lazy.force served in
+  let mode = Sorl.Autotuner.feature_mode trained in
+  let ties =
+    let w = Array.make (Features.dim mode) 0. in
+    w.((Features.tuning_feature_indices mode).(0)) <- 1.;
+    Sorl.Autotuner.of_model ~mode (Model.create w)
+  in
+  List.iter
+    (fun (label, tuner) ->
+      let model = Sorl.Autotuner.model tuner in
+      List.iter
+        (fun inst ->
+          let grid = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+          let order = Sorl.Autotuner.rank_order tuner (Features.compile mode inst) grid in
+          let scores = Array.map (fun t -> Model.score model (Features.encode mode inst t)) grid in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: %s" label (Instance.name inst))
+            (reference_sort scores) order)
+        Benchmarks.instances)
+    [ ("trained", trained); ("bx only", ties) ]
+
 (* ---- measurement memo ---- *)
 
 let tn i = Tuning.create ~bx:(8 * (i + 1)) ~by:8 ~bz:8 ~u:2 ~c:4
@@ -185,6 +225,8 @@ let suite =
     qcheck_encode_into_parity;
     qcheck_block_parity;
     Alcotest.test_case "rank matches seed path" `Quick test_rank_matches_seed_path;
+    Alcotest.test_case "rank_order = comparator sort, all benchmarks" `Quick
+      test_rank_order_all_benchmarks;
     Alcotest.test_case "measure cache hits and identity" `Quick test_cache_hits_and_identity;
     Alcotest.test_case "measure cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "measure cache env override" `Quick test_cache_env_override;

@@ -606,6 +606,39 @@ let test_holdout_tau_and_no_worse () =
   checkb "unknown benchmark skipped in tau" true (Float.abs (with_noise -. tau) < 1e-12);
   checkb "tau of nothing" true (Sorl_learn.Trainer.holdout_tau tuner [ noise ] = None)
 
+(* [per_benchmark_tau] scores each benchmark's block through one
+   compiled encoder; scoring every record through [Autotuner.score]
+   (the list encoding path) must give the identical taus. *)
+let test_per_benchmark_tau_compiled_parity () =
+  let benchmarks = [ "blur-1024x768"; "edge-512x512"; "laplacian-128x128x128"; "wave-128x128x128" ] in
+  let obs = observations ~benchmarks ~n:60 17 in
+  let train_slice, held = Sorl_learn.Trainer.split obs in
+  let tuner = get (Sorl_learn.Trainer.retrain ~mode:Features.Extended train_slice) in
+  let reference =
+    List.filter_map
+      (fun name ->
+        let block = List.filter (fun (o : Sorl_learn.Obs_log.obs) -> o.benchmark = name) held in
+        let inst = Benchmarks.instance_by_name name in
+        let costs = Array.of_list (List.map (fun (o : Sorl_learn.Obs_log.obs) -> o.cost) block) in
+        let scores =
+          Array.of_list
+            (List.map
+               (fun (o : Sorl_learn.Obs_log.obs) -> Sorl.Autotuner.score tuner inst o.tuning)
+               block)
+        in
+        if List.length block < 2 then None
+        else Some (name, Sorl_util.Rank_correlation.kendall_tau scores costs))
+      benchmarks
+  in
+  let taus = Sorl_learn.Trainer.per_benchmark_tau tuner held in
+  checki "every benchmark scored" (List.length benchmarks) (List.length taus);
+  List.iter
+    (fun (n, rt) ->
+      let t = List.assoc n taus in
+      checkb (Printf.sprintf "%s tau bit-identical (%h vs %h)" n rt t) true
+        (Int64.bits_of_float rt = Int64.bits_of_float t))
+    reference
+
 (* ---- model store / shared tuner ---- *)
 
 let tiny_tuner =
@@ -840,6 +873,8 @@ let suite =
     Alcotest.test_case "holdout tau and promotion rule" `Quick
       test_holdout_tau_and_no_worse;
     Alcotest.test_case "per-benchmark tau epsilon" `Quick test_per_benchmark_tau_epsilon;
+    Alcotest.test_case "per-benchmark tau: compiled = list path" `Quick
+      test_per_benchmark_tau_compiled_parity;
     Alcotest.test_case "incremental retrain parity" `Quick
       test_incremental_retrain_parity_and_reuse;
     Alcotest.test_case "incremental retrain on compacted log" `Quick

@@ -34,14 +34,21 @@ let tuner_b = lazy (train 7)
    keeping the server round-trip tests fast. *)
 let benchmark = "blur-1024x768"
 
+(* Removes [path] and everything under it.  [lstat] decides the kind,
+   so a symlink is unlinked itself and never followed. *)
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter
+      (fun e -> remove_tree (Filename.concat path e))
+      (try Sys.readdir path with Sys_error _ -> [||]);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
 let with_temp_dir f =
   let dir = Filename.temp_dir "sorl-serve-test" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let get = function Ok x -> x | Error m -> Alcotest.fail m
 let get_err what = function Ok _ -> Alcotest.fail (what ^ ": expected Error") | Error m -> m
@@ -278,6 +285,23 @@ let test_load_errors () =
   let bad_mode = msg_of (write "mode.model" "sorl-model v1\nmode fancy\n") in
   checkb "unknown mode rejected" true
     (contains ~sub:"unknown feature mode" bad_mode)
+
+(* A NaN or infinite weight would make scores non-finite, for which
+   the ranking sort defines no order: loading refuses it. *)
+let test_load_rejects_non_finite_weights () =
+  with_temp_dir @@ fun dir ->
+  let dim = Features.dim Features.Extended in
+  List.iter
+    (fun bad ->
+      let path = Filename.concat dir (bad ^ ".model") in
+      let oc = open_out_bin path in
+      Printf.fprintf oc
+        "sorl-model v1\nmode extended\nsorl-rank-model 1\ndim %d\nnnz 2\n3 0.5\n7 %s\nend\n"
+        dim bad;
+      close_out oc;
+      let msg = get_err bad (Sorl.Autotuner.load_result path) in
+      checkb (bad ^ " weight refused: " ^ msg) true (contains ~sub:"non-finite weight" msg))
+    [ "nan"; "inf"; "-inf"; "-nan" ]
 
 (* ---- model store ---- *)
 
@@ -1149,6 +1173,60 @@ let test_server_stats_not_blocked_by_reload () =
   raw_close stater;
   shutdown_server server
 
+(* [stats] reads the observation log's record and segment counts
+   without the log's mutex, so it never waits behind an observe's
+   flush or a seal's fsync.  A seal cannot be held open from a test:
+   each of its steps (trailer write, fsync, rename, fresh tail) is a
+   local file operation that completes without waiting on anything the
+   test controls, and the log has no hook inside it.  So the overlap is
+   staged by volume instead of deterministically: every observe below
+   seals (roll 1, fsync on), the whole train is in flight while stats
+   requests interleave with it, and every stats reply must arrive with
+   counts that never go backwards. *)
+let test_server_stats_during_seals () =
+  with_temp_dir @@ fun dir ->
+  let n = 64 in
+  let server =
+    get
+      (Server.start
+         ~address:(Protocol.Unix_path (Filename.concat dir "test.sock"))
+         ~workers:2 ~obs_log:(Filename.concat dir "obs") ~obs_roll:1 ~obs_fsync:true
+         (file_source dir (Lazy.force tuner_a)))
+  in
+  let ((_, obs_ic, obs_oc) as observer) = raw_connect server in
+  let ((_, stats_ic, stats_oc) as stater) = raw_connect server in
+  let set = Tuning.predefined_set ~dims:2 in
+  for i = 0 to n - 1 do
+    output_string obs_oc
+      (Protocol.encode_request
+         (Protocol.Observe
+            { benchmark = "edge-512x512"; tuning = set.(i); cost = 1. +. float_of_int i })
+      ^ "\n")
+  done;
+  flush obs_oc;
+  let last = ref (0, 0) in
+  while fst !last < n do
+    output_string stats_oc "sorl1 stats\n";
+    flush stats_oc;
+    match get (Protocol.parse_response (input_line stats_ic)) with
+    | Protocol.Stats_reply kvs ->
+      let now = (List.assoc "obs_log_records" kvs, List.assoc "obs_log_segments" kvs) in
+      checkb "records never go backwards" true (fst now >= fst !last);
+      checkb "segments never go backwards" true (snd now >= snd !last);
+      last := now
+    | r -> Alcotest.fail ("expected stats, got " ^ Protocol.encode_response r)
+  done;
+  for i = 1 to n do
+    match get (Protocol.parse_response (input_line obs_ic)) with
+    | Protocol.Observed _ -> ()
+    | r -> Alcotest.failf "observe %d: got %s" i (Protocol.encode_response r)
+  done;
+  let stats = get (Client.with_connection (Server.address server) Client.stats) in
+  checki "every observe sealed its own segment" n (List.assoc "obs_log_segments" stats);
+  raw_close observer;
+  raw_close stater;
+  shutdown_server server
+
 (* ---- reads on the reactor ---- *)
 
 let full_rank_reply tuner name =
@@ -1460,6 +1538,8 @@ let suite =
     Alcotest.test_case "protocol: strict vs lenient flags" `Quick
       test_protocol_strict_vs_lenient;
     Alcotest.test_case "autotuner load is defensive" `Quick test_load_errors;
+    Alcotest.test_case "autotuner load refuses non-finite weights" `Quick
+      test_load_rejects_non_finite_weights;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store rejects corruption" `Quick test_store_rejects_corruption;
     Alcotest.test_case "store name validation" `Quick test_store_names;
@@ -1498,6 +1578,8 @@ let suite =
       test_server_canary_cycle_zero_torn_replies;
     Alcotest.test_case "stats answers while a reload builds" `Quick
       test_server_stats_not_blocked_by_reload;
+    Alcotest.test_case "stats answers while observes seal" `Quick
+      test_server_stats_during_seals;
     Alcotest.test_case "reactor: read-only client never queues" `Quick
       test_reads_answered_on_reactor;
     Alcotest.test_case "reactor: mixed pipeline in order" `Quick

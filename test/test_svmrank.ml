@@ -97,6 +97,79 @@ let test_split_queries () =
   let qs d = Array.to_list (Dataset.query_ids d) in
   List.iter (fun q -> checkb "disjoint" false (List.mem q (qs va))) (qs tr)
 
+(* The list-based pair construction [Dataset.pairs] used before pairs
+   were packed into flat buffers, kept verbatim as the reference: the
+   packed version must return the same pairs in the same order for
+   every cap, and with it the same subsample. *)
+let reference_pairs ?max_per_query ~rng ds =
+  let samples = Dataset.samples ds in
+  let strict idxs =
+    let n = Array.length idxs in
+    let out = ref [] in
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if a <> b then begin
+          let i = idxs.(a) and j = idxs.(b) in
+          if samples.(i).Dataset.runtime > samples.(j).Dataset.runtime then
+            out := (i, j) :: !out
+        end
+      done
+    done;
+    !out
+  in
+  let base = Int64.to_int (Sorl_util.Rng.bits64 rng) land max_int in
+  Array.concat
+    (Array.to_list
+       (Array.mapi
+          (fun qi q ->
+            let ps = strict (Dataset.query_members ds q) in
+            match max_per_query with
+            | Some cap when List.length ps > cap ->
+              let qrng = Sorl_util.Rng.create (Sorl_util.Rng.derive_seed base qi) in
+              let arr = Array.of_list ps in
+              let keep = Sorl_util.Rng.sample_without_replacement qrng cap (Array.length arr) in
+              Array.map (fun k -> arr.(k)) keep
+            | _ -> Array.of_list ps)
+          (Dataset.query_ids ds)))
+
+let test_pairs_match_reference () =
+  (* Seven queries of 0..80 samples; runtimes drawn from a few values
+     so ties are common, and queries interleaved in the sample order. *)
+  let rng = Sorl_util.Rng.create 21 in
+  let sizes = [| 0; 1; 2; 9; 30; 57; 80 |] in
+  let samples =
+    List.concat_map
+      (fun round ->
+        List.filter_map
+          (fun q ->
+            if round >= sizes.(q) then None
+            else
+              let rt = 1. +. float_of_int (Sorl_util.Rng.int rng 12) in
+              Some (sample q [| float_of_int round; rt |] rt))
+          (List.init (Array.length sizes) Fun.id))
+      (List.init 80 Fun.id)
+  in
+  let ds = Dataset.create ~dim:2 samples in
+  let pair = Alcotest.(array (pair int int)) in
+  List.iter
+    (fun domains ->
+      Sorl_util.Pool.with_domains domains (fun () ->
+          Alcotest.check pair
+            (Printf.sprintf "uncapped, %d domain(s)" domains)
+            (reference_pairs ~rng:(Sorl_util.Rng.create 0) ds)
+            (Dataset.pairs ds);
+          List.iter
+            (fun cap ->
+              Alcotest.check pair
+                (Printf.sprintf "cap %d, %d domain(s)" cap domains)
+                (reference_pairs ~max_per_query:cap ~rng:(Sorl_util.Rng.create cap) ds)
+                (Dataset.pairs ~max_per_query:cap ~rng:(Sorl_util.Rng.create cap) ds))
+            [ 0; 1; 7; 50; 400; 1000; 1_000_000 ]))
+    [ 1; 2 ];
+  checki "possible pairs"
+    (Array.length (reference_pairs ~rng:(Sorl_util.Rng.create 0) ds))
+    (Dataset.num_possible_pairs ds)
+
 (* ---- Solver_common ---- *)
 
 let test_pair_diffs_sparse () =
@@ -267,8 +340,44 @@ let test_cross_validation () =
   checki "5 folds" 5 (Array.length taus);
   Array.iter (fun t -> checkb "held-out tau high" true (t > 0.8)) taus
 
+(* The (score, index) comparator sort [Model.sort_by_score] used
+   before the merge sort, kept as the reference order. *)
+let reference_sort (scores : float array) =
+  let idx = Array.init (Array.length scores) Fun.id in
+  Array.sort
+    (fun a b ->
+      if scores.(a) < scores.(b) then -1
+      else if scores.(b) < scores.(a) then 1
+      else compare (a : int) b)
+    idx;
+  idx
+
+let test_sort_by_score_edges () =
+  (* lengths around the insertion-run and merge-width boundaries *)
+  List.iter
+    (fun n ->
+      let scores = Array.init n (fun i -> float_of_int ((i * 7919) mod 13) -. 6.) in
+      Alcotest.(check (array int)) (Printf.sprintf "n = %d" n) (reference_sort scores)
+        (Model.sort_by_score scores);
+      let desc = Array.init n (fun i -> float_of_int (n - i)) in
+      Alcotest.(check (array int)) (Printf.sprintf "descending n = %d" n)
+        (reference_sort desc) (Model.sort_by_score desc))
+    [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 63; 64; 65; 1000; 8640 ];
+  Alcotest.(check (array int)) "signed zeros keep index order" [| 2; 0; 1; 3 |]
+    (Model.sort_by_score [| -0.; 0.; -1.; -0. |])
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"sort_by_score = (score, index) comparator sort"
+         QCheck2.Gen.(
+           array_size (int_range 0 9000)
+             (frequency
+                [
+                  (4, oneofl [ 0.; -0.; 1.; -1.; 0.5; 2.25; -3.75 ]);
+                  (1, float_range (-1e6) 1e6);
+                ]))
+         (fun scores -> Model.sort_by_score scores = reference_sort scores));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:50 ~name:"planted utility recovered across seeds"
          QCheck2.Gen.(int_range 0 1000)
@@ -293,6 +402,7 @@ let suite =
     Alcotest.test_case "pairs within query" `Quick test_pairs_within_query_only;
     Alcotest.test_case "pairs skip ties" `Quick test_pairs_ties_skipped;
     Alcotest.test_case "pairs subsampling" `Quick test_pairs_subsampling;
+    Alcotest.test_case "pairs match list reference" `Quick test_pairs_match_reference;
     Alcotest.test_case "subset" `Quick test_subset;
     Alcotest.test_case "query split" `Quick test_split_queries;
     Alcotest.test_case "pair diffs sparse" `Quick test_pair_diffs_sparse;
@@ -306,6 +416,7 @@ let suite =
     Alcotest.test_case "solver validation" `Quick test_solver_validation;
     Alcotest.test_case "untrainable dataset" `Quick test_untrainable_dataset_rejected;
     Alcotest.test_case "model rank" `Quick test_model_rank_stable;
+    Alcotest.test_case "sort_by_score edges" `Quick test_sort_by_score_edges;
     Alcotest.test_case "model serialization" `Quick test_model_serialization;
     Alcotest.test_case "model parse errors" `Quick test_model_of_string_errors;
     Alcotest.test_case "eval per query" `Quick test_eval_perfect_model;
