@@ -122,6 +122,7 @@ type fig5_row = {
   f5_curves : (string * float array) list;
   f5_regression_gflops : (int * float) list;
   f5_time_to_solution : (string * float) list;
+  f5_rank_s : (string * float) list;
 }
 
 let fig5 ?(budget = 1024) ?(seed = 17) ?(compile_overhead_s = 45.) measure ~tuners instances =
@@ -149,7 +150,7 @@ let fig5 ?(budget = 1024) ?(seed = 17) ?(compile_overhead_s = 45.) measure ~tune
                  (algo.Sorl_search.Registry.name, spent) ))
              Sorl_search.Registry.paper_baselines)
       in
-      let regs, reg_tts =
+      let regs, reg_out =
         List.split
           (List.map
              (fun (size, tuner) ->
@@ -161,15 +162,17 @@ let fig5 ?(budget = 1024) ?(seed = 17) ?(compile_overhead_s = 45.) measure ~tune
                Sorl_util.Telemetry.observe ~count:rank_reps rank_repeat_hist rank_s;
                let best = Autotuner.best tuner inst candidates in
                let rt = Sorl_machine.Measure.runtime measure inst best in
-               ( (size, gflops rt),
-                 (Printf.sprintf "regr-%d" size, rank_s +. compile_overhead_s +. rt) ))
+               let name = Printf.sprintf "regr-%d" size in
+               ((size, gflops rt), ((name, compile_overhead_s +. rt), (name, rank_s))))
              tuners)
       in
+      let reg_tts, rank_s = List.split reg_out in
       {
         f5_benchmark = Instance.name inst;
         f5_curves = curves;
         f5_regression_gflops = regs;
         f5_time_to_solution = tts @ reg_tts;
+        f5_rank_s = rank_s;
       })
     instances
 

@@ -85,7 +85,12 @@ type fig5_row = {
       (** per method, modeled tuning seconds: searches pay the runner's
           accumulated evaluation cost ({!Sorl_search.Runner.total_cost})
           plus the synthetic per-variant compile overhead per
-          evaluation; regression entries pay ranking time only *)
+          evaluation; regression entries pay one compile plus one run
+          of the chosen variant.  Deterministic: no wall time enters *)
+  f5_rank_s : (string * float) list;
+      (** per regression entry, the measured wall time of one ranking
+          of the predefined set — the part of a regression's time to
+          solution that depends on the host *)
 }
 
 val fig5 :

@@ -178,7 +178,6 @@ let group_by_benchmark obs =
         Hashtbl.add tbl o.Obs_log.benchmark (ref [ o ]))
     obs;
   List.rev_map (fun name -> (name, List.rev !(Hashtbl.find tbl name))) !order
-  |> List.rev
 
 let per_benchmark_tau tuner obs =
   List.filter_map

@@ -20,11 +20,11 @@ let ilp_efficiency u =
   if u < 0 || u > 8 then invalid_arg "Cost_model.ilp_efficiency: u outside 0..8";
   ilp_table.(u)
 
-let analyze (m : Machine_desc.t) v =
-  let inst = Variant.instance v in
+(* The model reads the instance, the schedule and the tuning's unroll
+   factor only, never the variant's compute expression. *)
+let analyze_schedule (m : Machine_desc.t) inst sched (tuning : Tuning.t) =
   let k = Instance.kernel inst in
   let s = Instance.size inst in
-  let sched = Variant.schedule v in
   let open Schedule in
   let bytes = Dtype.bytes (Kernel.dtype k) in
   let taps = Kernel.taps k in
@@ -52,7 +52,7 @@ let analyze (m : Machine_desc.t) v =
     float_of_int bx /. (Float.of_int ((bx + lanes - 1) / lanes) *. flanes)
   in
   let u_eff = sched.unroll in
-  let ilp = ilp_efficiency (Variant.tuning v).Tuning.u in
+  let ilp = ilp_efficiency tuning.Tuning.u in
   (* Instruction-footprint penalty for very large unrolled bodies. *)
   let body_ops = u_eff * taps in
   let icache = if body_ops <= 128 then 1. else Float.min 1.5 (1. +. (0.002 *. float_of_int (body_ops - 128))) in
@@ -148,9 +148,9 @@ let analyze (m : Machine_desc.t) v =
     reuse_level;
   }
 
-let runtime m v =
-  let b = analyze m v in
-  (Float.max b.compute_s b.memory_s *. b.imbalance) +. b.overhead_s
+let analyze m v = analyze_schedule m (Variant.instance v) (Variant.schedule v) (Variant.tuning v)
+let total b = (Float.max b.compute_s b.memory_s *. b.imbalance) +. b.overhead_s
+let runtime m v = total (analyze m v)
 
 let temporal_runtime m v ~time_block =
   if time_block < 1 then invalid_arg "Cost_model.temporal_runtime: time_block must be >= 1";
@@ -214,5 +214,5 @@ let temporal_runtime m v ~time_block =
     (Float.max compute_s memory_s *. b.imbalance) +. b.overhead_s
   end
 
-let runtime_of m inst t = runtime m (Variant.compile inst t)
+let runtime_of m inst t = total (analyze_schedule m inst (Schedule.create inst t) t)
 let gflops m inst t = Instance.total_flops inst /. runtime_of m inst t /. 1e9

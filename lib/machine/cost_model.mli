@@ -42,7 +42,10 @@ val runtime : Machine_desc.t -> Sorl_codegen.Variant.t -> float
 
 val runtime_of :
   Machine_desc.t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t -> float
-(** Convenience: compile then {!runtime}. *)
+(** {!runtime} of [Variant.compile inst t], computed from
+    [Schedule.create inst t] alone: the model never reads the variant's
+    compute expression, so this skips building it.  Bit-identical to
+    the compiled form. *)
 
 val gflops :
   Machine_desc.t -> Sorl_stencil.Instance.t -> Sorl_stencil.Tuning.t -> float

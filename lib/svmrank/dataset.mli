@@ -40,9 +40,10 @@ val pairs :
     When a query exposes more than [max_per_query] pairs (default:
     unlimited) a uniform subsample is kept, drawn from a per-query
     generator derived from one [rng] draw ([rng] is required in that
-    case).  Queries are constructed in parallel over
-    {!Sorl_util.Pool}; the per-query derived generators make the
-    result bit-identical for every pool size. *)
+    case).  Queries are built serially on the calling domain: the
+    runtime comparisons are cheap and the pair arrays' allocation is
+    the cost, which a pool fan-out made slower, not faster.  The result
+    does not depend on the pool size. *)
 
 val num_possible_pairs : t -> int
 (** Total strict within-query pairs, before any subsampling — the

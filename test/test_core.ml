@@ -343,6 +343,34 @@ let test_paper_size_lists () =
   checki "table2 sizes" 12 (List.length E.paper_training_sizes);
   Alcotest.(check (list int)) "fig4/5 sizes" [ 960; 3840; 6720; 16000 ] E.fig45_training_sizes
 
+(* ---- the default model, bit for bit ---- *)
+
+(* The model the server is set up with: [Training.default_spec] on the
+   noisy Xeon substrate, fitted with the default solver.  The pinned
+   digest of its weights' bits was computed before training-set
+   generation stopped compiling each sampled variant and before
+   [Dataset.pairs] left the pool; both changes must leave every bit in
+   place, whatever the pool size. *)
+let test_default_model_pinned () =
+  let spec = Sorl.Training.default_spec in
+  let measure =
+    Sorl_machine.Measure.model ~noise_amplitude:0.02 ~seed:spec.Sorl.Training.seed machine
+  in
+  List.iter
+    (fun domains ->
+      Sorl_util.Pool.with_domains domains (fun () ->
+          let ds = Sorl.Training.generate ~spec measure in
+          let w =
+            Sorl.Autotuner.weights (Sorl.Autotuner.train_on ~mode:spec.Sorl.Training.mode ds)
+          in
+          let b = Buffer.create (8 * Array.length w) in
+          Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) w;
+          Alcotest.(check string)
+            (Printf.sprintf "weights digest, %d domain(s)" domains)
+            "5fbe80bff82054191e4897b677a604c1"
+            (Digest.to_hex (Digest.string (Buffer.contents b)))))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "tuning counts exact" `Quick test_tuning_counts_exact;
@@ -367,4 +395,5 @@ let suite =
     Alcotest.test_case "fig5 structure" `Slow test_fig5_structure;
     Alcotest.test_case "tau helpers" `Quick test_tau_helpers;
     Alcotest.test_case "paper size lists" `Quick test_paper_size_lists;
+    Alcotest.test_case "default model weights pinned" `Quick test_default_model_pinned;
   ]

@@ -639,6 +639,19 @@ let test_per_benchmark_tau_compiled_parity () =
         (Int64.bits_of_float rt = Int64.bits_of_float t))
     reference
 
+(* [per_benchmark_tau] lists benchmarks in the order they first appear
+   in the held-out list, whatever order the names sort in. *)
+let test_per_benchmark_tau_order () =
+  let order = [ "wave-128x128x128"; "blur-1024x768"; "laplacian-128x128x128"; "edge-512x512" ] in
+  let blocks = List.map (fun b -> observations ~benchmarks:[ b ] ~n:6 19) order in
+  (* round-robin: every benchmark's later records follow the first
+     record of each benchmark after it *)
+  let held = List.concat (List.init 6 (fun i -> List.map (fun blk -> List.nth blk i) blocks)) in
+  let tuner = get (Sorl_learn.Trainer.retrain ~mode:Features.Extended (observations ~n:40 17)) in
+  Alcotest.(check (list string))
+    "first-appearance order" order
+    (List.map fst (Sorl_learn.Trainer.per_benchmark_tau tuner held))
+
 (* ---- model store / shared tuner ---- *)
 
 let tiny_tuner =
@@ -873,6 +886,7 @@ let suite =
     Alcotest.test_case "holdout tau and promotion rule" `Quick
       test_holdout_tau_and_no_worse;
     Alcotest.test_case "per-benchmark tau epsilon" `Quick test_per_benchmark_tau_epsilon;
+    Alcotest.test_case "per-benchmark tau order" `Quick test_per_benchmark_tau_order;
     Alcotest.test_case "per-benchmark tau: compiled = list path" `Quick
       test_per_benchmark_tau_compiled_parity;
     Alcotest.test_case "incremental retrain parity" `Quick

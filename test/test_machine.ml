@@ -210,6 +210,66 @@ let test_measure_validation () =
   Alcotest.check_raises "repeats" (Invalid_argument "Measure.wallclock: repeats must be >= 1")
     (fun () -> ignore (Measure.wallclock ~repeats:0 ()))
 
+(* ---- runtime_of without a compiled variant ---- *)
+
+(* 600 seeded random tunings spread over every training shape. *)
+let sampled_tunings =
+  lazy
+    (let rng = Sorl_util.Rng.create 29 in
+     let insts = Array.of_list Training_shapes.instances in
+     List.init 600 (fun i ->
+         let inst = insts.(i mod Array.length insts) in
+         (inst, Tuning.random rng ~dims:(Kernel.dims (Instance.kernel inst)))))
+
+let both_machines =
+  [ ("xeon", Machine_desc.xeon_e5_2680_v3); ("laptop", Machine_desc.laptop_quad) ]
+
+(* [runtime_of] prices the schedule alone; it must equal the price of
+   the fully compiled variant bit for bit. *)
+let test_runtime_of_matches_compiled () =
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun (inst, t) ->
+          let direct = Cost_model.runtime_of m inst t in
+          let compiled = Cost_model.runtime m (Sorl_codegen.Variant.compile inst t) in
+          if Int64.bits_of_float direct <> Int64.bits_of_float compiled then
+            Alcotest.failf "%s %s@%s: runtime_of %h <> runtime %h" name (Instance.name inst)
+              (Tuning.to_string t) direct compiled)
+        (Lazy.force sampled_tunings))
+    both_machines
+
+(* Every breakdown field and [runtime_of] over the sampled tunings,
+   digested bit for bit; the pinned digests were computed before
+   [runtime_of] stopped compiling the variant, so any change to a
+   priced bit fails here. *)
+let test_analyze_pinned () =
+  let digest m =
+    let b = Buffer.create 65536 in
+    let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+    List.iter
+      (fun (inst, t) ->
+        let r = Cost_model.analyze m (Sorl_codegen.Variant.compile inst t) in
+        add r.Cost_model.compute_s;
+        add r.Cost_model.memory_s;
+        add r.Cost_model.overhead_s;
+        add r.Cost_model.imbalance;
+        Buffer.add_int64_le b (Int64.of_int r.Cost_model.threads);
+        add r.Cost_model.dram_bytes_per_point;
+        Buffer.add_char b
+          (match r.Cost_model.reuse_level with `L1 -> '1' | `L2 -> '2' | `L3 -> '3' | `Dram -> 'D');
+        add (Cost_model.runtime_of m inst t))
+      (Lazy.force sampled_tunings);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let pinned =
+    [ ("xeon", "1a4542aae02d7c08fbb7d00e19c448c9"); ("laptop", "518ea63f9db76a17c96d21facc0cd1a6") ]
+  in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check string) (name ^ " breakdown digest") (List.assoc name pinned) (digest m))
+    both_machines
+
 let suite =
   [
     Alcotest.test_case "desc validation" `Quick test_desc_validate;
@@ -235,4 +295,7 @@ let suite =
     Alcotest.test_case "measure counts" `Quick test_measure_counts_evaluations;
     Alcotest.test_case "measure wallclock" `Quick test_measure_wallclock;
     Alcotest.test_case "measure validation" `Quick test_measure_validation;
+    Alcotest.test_case "runtime_of = runtime of compiled" `Quick
+      test_runtime_of_matches_compiled;
+    Alcotest.test_case "analyze digest pinned" `Quick test_analyze_pinned;
   ]
