@@ -2429,18 +2429,21 @@ let online_learn () =
 
 (* ---- learn-cycle kernels ---- *)
 
-(* The three CPU kernels of one learn cycle, timed serially (one pool
-   domain): a serving snapshot build (compile + full-grid
-   [rank_order] for every registered benchmark), its two halves
-   (encoding the grids, sorting the scores) and [Dataset.pairs] over a
-   17-query training slice at the serving cap of 500 pairs per query.
-   Each figure is the median of [reps] timed runs after one warm-up.
-   The digest covers every ranking and the sampled pair set, so two
-   builds of this harness can be checked for identical outputs. *)
+(* The CPU kernels of setup and of one learn cycle.  Serial (one pool
+   domain): a serving snapshot build (compile + full-grid [rank_order]
+   for every registered benchmark), its two halves (encoding the grids,
+   sorting the scores), [Dataset.pairs] over a 17-query training slice
+   at the serving cap of 500 pairs per query, and the default-spec fit
+   split into packing its pair differences into CSR and the Pegasos
+   solve.  Then the server's own snapshot build at pool size 2.  Each
+   figure is the median of [reps] timed runs after one warm-up.  The
+   digest lines cover every ranking, the sampled pair set, the fitted
+   weights' bits and the 2-domain snapshot, so two builds of this
+   harness, or two pool sizes, can be checked for identical outputs by
+   diffing them. *)
 let learn_kernels () =
-  header "Learn-cycle kernels (serial, median of 9 runs)";
-  let reps = 9 in
-  let median_s f =
+  header "Learn-cycle kernels (median of 9 runs, 5 for the fit; serial unless stated)";
+  let median_s ?(reps = 9) f =
     ignore (Sys.opaque_identity (f ()));
     let ts =
       Array.init reps (fun _ ->
@@ -2448,7 +2451,9 @@ let learn_kernels () =
     in
     Stats.median ts
   in
-  let tuner = Sorl.Autotuner.train ~spec:Sorl.Training.default_spec measure in
+  let spec = Sorl.Training.default_spec in
+  let fit_ds = Sorl.Training.generate ~spec measure in
+  let tuner = Sorl.Autotuner.train_on ~mode:spec.Sorl.Training.mode fit_ds in
   let model = Sorl.Autotuner.model tuner in
   let mode = Sorl.Autotuner.feature_mode tuner in
   let insts = Array.of_list Benchmarks.instances in
@@ -2496,31 +2501,90 @@ let learn_kernels () =
   let pairs () =
     Sorl_svmrank.Dataset.pairs ~max_per_query:500 ~rng:(Sorl_util.Rng.create 3) ds
   in
-  Sorl_util.Pool.with_domains 1 (fun () ->
-      let build_s = median_s build in
-      let encode_s = median_s encode in
-      let sort_s = median_s sort in
-      let pairs_s = median_s pairs in
-      let digest =
-        let b = Buffer.create (4 * candidates) in
-        Array.iter (Array.iter (fun i -> Buffer.add_string b (string_of_int i ^ ","))) (build ());
-        Array.iter (fun (i, j) -> Buffer.add_string b (Printf.sprintf "%d:%d," i j)) (pairs ());
-        Digest.to_hex (Digest.string (Buffer.contents b))
-      in
-      let t = Table.create ~aligns:[ Table.Left; Table.Right ] [ "kernel"; "median" ] in
-      Table.add_row t
-        [ Printf.sprintf "snapshot build (%d benchmarks, %d candidates)" (Array.length insts) candidates;
-          Printf.sprintf "%.1f ms" (build_s *. 1e3) ];
-      Table.add_row t
-        [ "encode (compiled, all grids)";
-          Printf.sprintf "%.1f ms (%.0f ns/candidate)" (encode_s *. 1e3)
-            (encode_s /. float_of_int candidates *. 1e9) ];
-      Table.add_row t [ "sort_by_score (all grids)"; Printf.sprintf "%.1f ms" (sort_s *. 1e3) ];
-      Table.add_row t
-        [ Printf.sprintf "Dataset.pairs (%d samples, cap 500)" (Sorl_svmrank.Dataset.num_samples ds);
-          Printf.sprintf "%.1f ms" (pairs_s *. 1e3) ];
-      Table.print t;
-      Printf.printf "outputs digest (rankings + pairs): %s\n" digest)
+  (* The default solver's pairs for the default spec, drawn as
+     [Solver_sgd.train] draws them. *)
+  let sgd = Sorl_svmrank.Solver_sgd.default_params in
+  let fit_pairs =
+    Sorl_svmrank.Dataset.pairs ?max_per_query:sgd.max_pairs_per_query
+      ~rng:(Sorl_util.Rng.create (sgd.seed + 7919))
+      fit_ds
+  in
+  let pack () = Sorl_svmrank.Solver_common.pair_csr fit_ds fit_pairs in
+  let zc = pack () in
+  let solve () = Sorl_svmrank.Solver_sgd.train_on_csr ~params:sgd zc in
+  let snapshot = Sorl_serve.Server.build_rankings () in
+  let hex_of_bytes bs =
+    let b = Buffer.create (2 * candidates) in
+    Array.iter (Buffer.add_bytes b) bs;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let packed orders =
+    Array.map
+      (fun o ->
+        let p = Bytes.create (2 * Array.length o) in
+        Array.iteri (fun j x -> Bytes.set_uint16_le p (2 * j) x) o;
+        p)
+      orders
+  in
+  let build_s, encode_s, sort_s, pairs_s, pack_s, solve_s, digest, fit_digest, serial_rankings =
+    Sorl_util.Pool.with_domains 1 (fun () ->
+        let build_s = median_s build in
+        let encode_s = median_s encode in
+        let sort_s = median_s sort in
+        let pairs_s = median_s pairs in
+        let pack_s = median_s ~reps:5 pack in
+        let solve_s = median_s ~reps:5 solve in
+        let orders = build () in
+        let digest =
+          let b = Buffer.create (4 * candidates) in
+          Array.iter (Array.iter (fun i -> Buffer.add_string b (string_of_int i ^ ","))) orders;
+          Array.iter (fun (i, j) -> Buffer.add_string b (Printf.sprintf "%d:%d," i j)) (pairs ());
+          Digest.to_hex (Digest.string (Buffer.contents b))
+        in
+        let w = Sorl_svmrank.Model.weights (solve ()) in
+        if w <> Sorl.Autotuner.weights tuner then begin
+          prerr_endline "FAIL: the timed solve's weights differ from Autotuner.train_on's";
+          exit 1
+        end;
+        let b = Buffer.create (8 * Array.length w) in
+        Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) w;
+        ( build_s, encode_s, sort_s, pairs_s, pack_s, solve_s, digest,
+          Digest.to_hex (Digest.string (Buffer.contents b)),
+          hex_of_bytes (packed orders) ))
+  in
+  let snapshot_s, snapshot_digest =
+    Sorl_util.Pool.with_domains 2 (fun () ->
+        (median_s (fun () -> snapshot tuner), hex_of_bytes (snapshot tuner)))
+  in
+  if snapshot_digest <> serial_rankings then begin
+    prerr_endline "FAIL: the 2-domain snapshot differs from the serial rankings";
+    exit 1
+  end;
+  let t = Table.create ~aligns:[ Table.Left; Table.Right ] [ "kernel"; "median" ] in
+  Table.add_row t
+    [ Printf.sprintf "snapshot build (%d benchmarks, %d candidates)" (Array.length insts) candidates;
+      Printf.sprintf "%.1f ms" (build_s *. 1e3) ];
+  Table.add_row t
+    [ "encode (compiled, all grids)";
+      Printf.sprintf "%.1f ms (%.0f ns/candidate)" (encode_s *. 1e3)
+        (encode_s /. float_of_int candidates *. 1e9) ];
+  Table.add_row t [ "sort_by_score (all grids)"; Printf.sprintf "%.1f ms" (sort_s *. 1e3) ];
+  Table.add_row t
+    [ Printf.sprintf "Dataset.pairs (%d samples, cap 500)" (Sorl_svmrank.Dataset.num_samples ds);
+      Printf.sprintf "%.1f ms" (pairs_s *. 1e3) ];
+  Table.add_row t
+    [ Printf.sprintf "default fit: pair differences -> CSR (%d pairs, %d nnz)"
+        (Array.length fit_pairs) (Sorl_util.Sparse.Csr.nnz zc);
+      Printf.sprintf "%.1f ms" (pack_s *. 1e3) ];
+  Table.add_row t
+    [ Printf.sprintf "default fit: Pegasos solve (%d epochs, batch %d)" sgd.epochs sgd.batch;
+      Printf.sprintf "%.1f ms" (solve_s *. 1e3) ];
+  Table.add_row t
+    [ "Server snapshot build, pool size 2"; Printf.sprintf "%.1f ms" (snapshot_s *. 1e3) ];
+  Table.print t;
+  Printf.printf "outputs digest (rankings + pairs): %s\n" digest;
+  Printf.printf "default fit weights digest: %s\n" fit_digest;
+  Printf.printf "snapshot digest (pool size 2): %s\n" snapshot_digest
 
 (* ---- driver ---- *)
 

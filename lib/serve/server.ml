@@ -185,13 +185,51 @@ let build ~grid2 ~grid3 tuner inst =
   { grid; order = packed }
 
 (* A serving snapshot with every benchmark's ranking built, at
-   generation 0 until [install_locked] stamps it.  Runs in the caller's
-   domain: at start on the starting domain, at reload and canary on the
-   worker that handles the request.  An exception from a build
-   propagates, so the snapshot is never installed or canaried. *)
+   generation 0 until [install_locked] stamps it.  The rankings are
+   handed out one at a time through an atomic next index to the
+   calling domain (the starting domain, or the worker of a reload or
+   canary) and, at a pool size of 2 or more, one helper domain.  Each
+   ranking is built whole and serially, so no [rank_order] fans out
+   below it, and is stored at its benchmark's index: the snapshot does
+   not depend on which domain built what.  Rankings are 1–4 ms each
+   and independent, so two domains halve the build, where a fan-out
+   inside every [rank_order] (17 spawns at start) gained nothing.  An
+   exception from a build stops the hand-out and propagates once both
+   domains are done, so the snapshot is never installed or
+   canaried. *)
 let snapshot ~grid2 ~grid3 ~tuner ~model_name =
-  let rankings = Array.map (build ~grid2 ~grid3 tuner) instances in
-  { tuner; model_name; generation = 0; rankings }
+  let n = Array.length instances in
+  let built = Array.make n None in
+  let next = Atomic.make 0 in
+  let work () =
+    Sorl_util.Pool.serially (fun () ->
+        let rec go () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            built.(i) <- Some (build ~grid2 ~grid3 tuner instances.(i));
+            go ()
+          end
+        in
+        match go () with
+        | () -> Ok ()
+        | exception e ->
+          Atomic.set next n;
+          Error (e, Printexc.get_raw_backtrace ()))
+  in
+  let helper =
+    if Sorl_util.Pool.default_domains () >= 2 then Some (Domain.spawn work) else None
+  in
+  let mine = work () in
+  let theirs = match helper with Some d -> Domain.join d | None -> Ok () in
+  (match (mine, theirs) with
+  | Error (e, bt), _ | Ok (), Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Ok (), Ok () -> ());
+  { tuner; model_name; generation = 0; rankings = Array.map Option.get built }
+
+let build_rankings () =
+  let grid2 = make_grid ~dims:2 and grid3 = make_grid ~dims:3 in
+  fun tuner ->
+    Array.map (fun r -> r.order) (snapshot ~grid2 ~grid3 ~tuner ~model_name:"").rankings
 
 let word r j = r.grid.words.(Bytes.get_uint16_le r.order (2 * j))
 
@@ -531,7 +569,11 @@ let answer_on_reactor t lines =
    one syscall, not N flushes. *)
 let worker_loop t reactor =
   (* Worker domains live for the whole server; requests they process
-     must not fan out into a second level of Pool domains. *)
+     must not fan out into a second level of Pool domains.  The one
+     exception is [snapshot], which a reload or canary runs here: it
+     hands its 17 rankings to this worker and at most one helper
+     domain, because a whole build is 30–50 ms of independent work that
+     halves on two domains, while each ranking stays serial. *)
   Sorl_util.Pool.serially (fun () ->
       let buf = Buffer.create 512 in
       let rec loop () =

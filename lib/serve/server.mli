@@ -17,8 +17,11 @@
     one [select] slot, and requests a client pipelines (several lines
     buffered before the server reads) are answered in order with a
     single write.  Worker domains run under {!Sorl_util.Pool.serially},
-    so the ranking builds of a [reload] or [canary] never fan out into
-    a second level of domains, and never delay a read.
+    so a request never fans out into a second level of domains and
+    never delays a read.  The one exception is the snapshot build of a
+    [reload] or [canary] (and of [start]): its 17 rankings are handed
+    out whole to the building domain and, at a pool size of 2 or more,
+    one helper domain, each ranking built serially.
 
     The hot path is a slice of a resident ranking.  Under one model,
     [rank k] is the first [k] of the benchmark's full ranking of the
@@ -152,6 +155,16 @@ val start :
     {!Sorl_learn.Trainer.default_holdout} /
     {!Sorl_learn.Trainer.default_seed}) pin the promote decision's
     held-out slice and must match the trainer's split. *)
+
+val build_rankings : unit -> Sorl.Autotuner.t -> Bytes.t array
+(** [build_rankings ()] makes the two grid tables once and returns the
+    snapshot build a server runs at start, [reload] and [canary]: for a
+    tuner, one ranking per registered benchmark in
+    {!Sorl_stencil.Benchmarks.instances} order, packed as 16-bit
+    little-endian indices into the benchmark's predefined set, best
+    first.  The build runs on the calling domain and, at a pool size of
+    2 or more, one helper domain; the result does not depend on the
+    pool size.  For benches and tests. *)
 
 val address : t -> Protocol.address
 (** The bound address (with the actual port for ephemeral TCP). *)

@@ -1,9 +1,11 @@
-let pair_diffs ds pairs =
-  let samples = Dataset.samples ds in
-  Array.map
-    (fun (slower, faster) ->
-      Sorl_util.Sparse.sub samples.(slower).Dataset.features samples.(faster).Dataset.features)
+let pair_csr ds pairs =
+  Sorl_util.Sparse.Csr.of_diffs ~dim:(Dataset.dim ds)
+    (Array.map (fun s -> s.Dataset.features) (Dataset.samples ds))
     pairs
+
+let pair_diffs ds pairs =
+  let zc = pair_csr ds pairs in
+  Array.init (Sorl_util.Sparse.Csr.rows zc) (Sorl_util.Sparse.Csr.row zc)
 
 let objective ~c zs w =
   let m = Array.length zs in

@@ -1,9 +1,17 @@
 (** Shared pieces of the rank-SVM solvers. *)
 
+val pair_csr : Dataset.t -> (int * int) array -> Sorl_util.Sparse.Csr.t
+(** [z_p = φ(slower) − φ(faster)] for each pair, one CSR row per pair,
+    packed straight from the samples' feature vectors
+    ({!Sorl_util.Sparse.Csr.of_diffs}).  Within-query pairs share their
+    instance features, which cancel, so these rows are very sparse
+    (only tuning-dependent coordinates survive).  This is what the
+    solvers' [train] fits on. *)
+
 val pair_diffs : Dataset.t -> (int * int) array -> Sorl_util.Sparse.t array
-(** [z_p = φ(slower) − φ(faster)] for each pair.  Within-query pairs
-    share their instance features, which cancel, so these vectors are
-    very sparse (only tuning-dependent coordinates survive). *)
+(** The rows of {!pair_csr} as standalone vectors, bit for bit
+    [Sparse.sub] of each pair's feature vectors; for callers that want
+    the pairs one vector at a time. *)
 
 val objective :
   c:float -> Sorl_util.Sparse.t array -> Sorl_util.Vec.t -> float

@@ -22,23 +22,23 @@ let passes_counter = Sorl_util.Telemetry.counter "solver.dcd.passes"
 let updates_counter = Sorl_util.Telemetry.counter "solver.dcd.updates"
 let shrunk_counter = Sorl_util.Telemetry.counter "solver.shrunk_pairs"
 
-let train_on_pairs ?init ?(params = default_params) ~dim zs =
+let train_on_csr ?init ~params zc =
   if params.c <= 0. then invalid_arg "Solver_dcd: C must be positive";
   if params.max_passes < 1 then invalid_arg "Solver_dcd: max_passes must be >= 1";
+  let dim = Sorl_util.Sparse.Csr.dim zc in
   (match init with
   | Some w0 when Array.length w0 <> dim ->
       invalid_arg "Solver_dcd: init vector dimension does not match dim"
   | _ -> ());
-  let m = Array.length zs in
+  let m = Sorl_util.Sparse.Csr.rows zc in
   if m = 0 then invalid_arg "Solver_dcd: no pairs";
   Sorl_util.Telemetry.add pairs_counter m;
   Sorl_util.Telemetry.span "solver/dcd" (fun () ->
-      (* One-time CSR pack + per-pair Q_ii precomputation: the passes
+      (* Per-pair Q_ii precomputation on the CSR block: the passes
          below walk flat arrays only.  [norm2_row]/[dot_row]/[axpy_row]
          perform the same float operations in the same order as their
          sparse-vector counterparts, keeping the solution
          bit-identical. *)
-      let zc = Sorl_util.Sparse.Csr.of_rows ~dim zs in
       let upper = params.c /. float_of_int m in
       let alpha = Array.make m 0. in
       (* Warm start: begin the coordinate passes at [init] instead of 0
@@ -142,8 +142,11 @@ let train_on_pairs ?init ?(params = default_params) ~dim zs =
       done;
       Model.create w)
 
+let train_on_pairs ?init ?(params = default_params) ~dim zs =
+  train_on_csr ?init ~params (Sorl_util.Sparse.Csr.of_rows ~dim zs)
+
 let train ?init ?(params = default_params) ds =
   let rng = Sorl_util.Rng.create (params.seed + 104729) in
   let pairs = Dataset.pairs ?max_per_query:params.max_pairs_per_query ~rng ds in
   if Array.length pairs = 0 then invalid_arg "Solver_dcd.train: dataset exposes no pairs";
-  train_on_pairs ?init ~params ~dim:(Dataset.dim ds) (Solver_common.pair_diffs ds pairs)
+  train_on_csr ?init ~params (Solver_common.pair_csr ds pairs)

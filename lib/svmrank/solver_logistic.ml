@@ -23,10 +23,14 @@ let objective ~lambda zs w =
   in
   (0.5 *. lambda *. Sorl_util.Vec.norm2 w) +. (loss /. float_of_int m)
 
-let train_on_pairs ?(params = default_params) ~dim zs =
+(* [Csr.dot_row]/[axpy_row] replay [Sparse.dot_dense]/[axpy_dense]
+   exactly, so fitting on the CSR block is bit-identical to fitting on
+   the pair vectors one at a time. *)
+let train_on_csr ~params zc =
   if params.lambda < 0. then invalid_arg "Solver_logistic: lambda must be nonnegative";
   if params.epochs < 1 then invalid_arg "Solver_logistic: epochs must be >= 1";
-  let m = Array.length zs in
+  let dim = Sorl_util.Sparse.Csr.dim zc in
+  let m = Sorl_util.Sparse.Csr.rows zc in
   if m = 0 then invalid_arg "Solver_logistic: no pairs";
   let w = Array.make dim 0. in
   let w_sum = Array.make dim 0. in
@@ -39,20 +43,22 @@ let train_on_pairs ?(params = default_params) ~dim zs =
       (fun p ->
         incr steps;
         let eta = params.learning_rate /. (1. +. sqrt (float_of_int !steps)) in
-        let z = zs.(p) in
-        let s = Sorl_util.Sparse.dot_dense z w in
+        let s = Sorl_util.Sparse.Csr.dot_row zc p w in
         (* d/dw log(1+exp(-w.z)) = -sigmoid(-w.z) z *)
         let g = 1. /. (1. +. exp (Float.max (-35.) (Float.min 35. s))) in
         Sorl_util.Vec.scale_inplace (1. -. (eta *. params.lambda)) w;
-        Sorl_util.Sparse.axpy_dense (eta *. g) z w;
+        Sorl_util.Sparse.Csr.axpy_row (eta *. g) zc p w;
         Sorl_util.Vec.add_inplace w_sum w)
       order
   done;
   Sorl_util.Vec.scale_inplace (1. /. float_of_int !steps) w_sum;
   Model.create w_sum
 
+let train_on_pairs ?(params = default_params) ~dim zs =
+  train_on_csr ~params (Sorl_util.Sparse.Csr.of_rows ~dim zs)
+
 let train ?(params = default_params) ds =
   let rng = Sorl_util.Rng.create (params.seed + 15485863) in
   let pairs = Dataset.pairs ?max_per_query:params.max_pairs_per_query ~rng ds in
   if Array.length pairs = 0 then invalid_arg "Solver_logistic.train: dataset exposes no pairs";
-  train_on_pairs ~params ~dim:(Dataset.dim ds) (Solver_common.pair_diffs ds pairs)
+  train_on_csr ~params (Solver_common.pair_csr ds pairs)

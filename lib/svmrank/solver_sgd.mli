@@ -41,3 +41,8 @@ val train : ?init:float array -> ?params:params -> Dataset.t -> Model.t
 val train_on_pairs :
   ?init:float array -> ?params:params -> dim:int -> Sorl_util.Sparse.t array -> Model.t
 (** Lower-level entry on precomputed pair differences. *)
+
+val train_on_csr : ?init:float array -> params:params -> Sorl_util.Sparse.Csr.t -> Model.t
+(** The solve itself, on pair differences already packed one per CSR
+    row (e.g. by {!Solver_common.pair_csr}); {!train} and
+    {!train_on_pairs} both end here. *)

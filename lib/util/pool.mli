@@ -37,7 +37,14 @@ val serially : (unit -> 'a) -> 'a
     larger concurrency scheme — e.g. the serving subsystem's worker
     domains — wrap their bodies in it so a request never fans out into
     a second level of domains.  Results are unchanged: every pool
-    operation is bit-identical at all sizes, serial included. *)
+    operation is bit-identical at all sizes, serial included.
+
+    The server's snapshot build is the one place a serving worker still
+    fans out: it spawns at most one helper domain (none at pool size
+    1) and hands out whole rankings, each built under [serially].  A
+    snapshot is 17 independent rankings of 1,600 or 8,640 candidates,
+    so two domains halve it, where fanning out inside each ranking's
+    scoring gained nothing. *)
 
 val parallel_chunks : ?domains:int -> int -> (int -> int -> 'r) -> 'r array
 (** [parallel_chunks n f] partitions [0, n) into at most [domains]

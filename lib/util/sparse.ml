@@ -97,33 +97,104 @@ let axpy_dense a t d =
   if Array.length d < t.dim then invalid_arg "Sparse.axpy_dense: dense side too short";
   Array.iteri (fun k i -> d.(i) <- d.(i) +. (a *. t.v.(k))) t.idx
 
-let merge op a b =
-  if a.dim <> b.dim then invalid_arg "Sparse.merge: dimension mismatch";
-  let out = ref [] in
-  let na = Array.length a.idx and nb = Array.length b.idx in
-  let i = ref 0 and j = ref 0 in
-  let push idx v = if v <> 0. then out := (idx, v) :: !out in
-  while !i < na || !j < nb do
-    if !i < na && (!j >= nb || a.idx.(!i) < b.idx.(!j)) then begin
-      push a.idx.(!i) (op a.v.(!i) 0.);
+(* [a − b] as a two-pointer merge over the sorted indices, in two
+   passes: [diff_count] sizes the result and [diff_fill] writes it.
+   Both compute each entry as [a -. 0.], [0. -. b] or [a -. b] and drop
+   a value that compares equal to 0, so the count is exact and a vector
+   difference, a CSR row of pair differences and the tuple-list merge
+   this replaces all hold the same entries, bit for bit.  Every read is
+   guarded by its index's loop bound, so reads are unsafe. *)
+let diff_count a b =
+  let ai = a.idx and av = a.v and bi = b.idx and bv = b.v in
+  let na = Array.length ai and nb = Array.length bi in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < na && !j < nb do
+    let ia = Array.unsafe_get ai !i and ib = Array.unsafe_get bi !j in
+    if ia < ib then begin
+      if Array.unsafe_get av !i -. 0. <> 0. then incr n;
       incr i
     end
-    else if !j < nb && (!i >= na || b.idx.(!j) < a.idx.(!i)) then begin
-      push b.idx.(!j) (op 0. b.v.(!j));
+    else if ib < ia then begin
+      if 0. -. Array.unsafe_get bv !j <> 0. then incr n;
       incr j
     end
     else begin
-      push a.idx.(!i) (op a.v.(!i) b.v.(!j));
+      if Array.unsafe_get av !i -. Array.unsafe_get bv !j <> 0. then incr n;
       incr i;
       incr j
     end
   done;
-  let entries = List.rev !out in
-  { dim = a.dim;
-    idx = Array.of_list (List.map fst entries);
-    v = Array.of_list (List.map snd entries) }
+  while !i < na do
+    if Array.unsafe_get av !i -. 0. <> 0. then incr n;
+    incr i
+  done;
+  while !j < nb do
+    if 0. -. Array.unsafe_get bv !j <> 0. then incr n;
+    incr j
+  done;
+  !n
 
-let sub a b = merge ( -. ) a b
+(* Writes the entries of [a − b] into [idx]/[v] from position [at]. *)
+let diff_fill a b idx v at =
+  let ai = a.idx and av = a.v and bi = b.idx and bv = b.v in
+  let na = Array.length ai and nb = Array.length bi in
+  let i = ref 0 and j = ref 0 and k = ref at in
+  while !i < na && !j < nb do
+    let ia = Array.unsafe_get ai !i and ib = Array.unsafe_get bi !j in
+    if ia < ib then begin
+      let x = Array.unsafe_get av !i -. 0. in
+      if x <> 0. then begin
+        idx.(!k) <- ia;
+        v.(!k) <- x;
+        incr k
+      end;
+      incr i
+    end
+    else if ib < ia then begin
+      let x = 0. -. Array.unsafe_get bv !j in
+      if x <> 0. then begin
+        idx.(!k) <- ib;
+        v.(!k) <- x;
+        incr k
+      end;
+      incr j
+    end
+    else begin
+      let x = Array.unsafe_get av !i -. Array.unsafe_get bv !j in
+      if x <> 0. then begin
+        idx.(!k) <- ia;
+        v.(!k) <- x;
+        incr k
+      end;
+      incr i;
+      incr j
+    end
+  done;
+  while !i < na do
+    let x = Array.unsafe_get av !i -. 0. in
+    if x <> 0. then begin
+      idx.(!k) <- Array.unsafe_get ai !i;
+      v.(!k) <- x;
+      incr k
+    end;
+    incr i
+  done;
+  while !j < nb do
+    let x = 0. -. Array.unsafe_get bv !j in
+    if x <> 0. then begin
+      idx.(!k) <- Array.unsafe_get bi !j;
+      v.(!k) <- x;
+      incr k
+    end;
+    incr j
+  done
+
+let sub a b =
+  if a.dim <> b.dim then invalid_arg "Sparse.sub: dimension mismatch";
+  let n = diff_count a b in
+  let idx = Array.make n 0 and v = Array.make n 0. in
+  diff_fill a b idx v 0;
+  { dim = a.dim; idx; v }
 
 let scale a t =
   if a = 0. then { dim = t.dim; idx = [||]; v = [||] }
@@ -218,6 +289,24 @@ module Csr = struct
       rs;
     { dim; offs; idx; v }
 
+  (* Count pass, then fill pass: every row is exactly [sub] of its
+     pair's two vectors, written in place with no per-pair vector. *)
+  let of_diffs ~dim (vs : sparse array) pairs =
+    let n = Array.length pairs in
+    let offs = Array.make (n + 1) 0 in
+    for p = 0 to n - 1 do
+      let a, b = pairs.(p) in
+      let (va : sparse) = vs.(a) and (vb : sparse) = vs.(b) in
+      if va.dim <> dim || vb.dim <> dim then invalid_arg "Csr.of_diffs: row dimension mismatch";
+      offs.(p + 1) <- offs.(p) + diff_count va vb
+    done;
+    let idx = Array.make offs.(n) 0 and v = Array.make offs.(n) 0. in
+    for p = 0 to n - 1 do
+      let a, b = pairs.(p) in
+      diff_fill vs.(a) vs.(b) idx v offs.(p)
+    done;
+    { dim; offs; idx; v }
+
   let row t r =
     let lo = t.offs.(r) and hi = t.offs.(r + 1) in
     { dim = t.dim; idx = Array.sub t.idx lo (hi - lo); v = Array.sub t.v lo (hi - lo) }
@@ -246,6 +335,21 @@ module Csr = struct
       incr k
     done;
     !acc
+
+  (* One load per 64-byte line of the row's [idx] and [v] spans (8
+     entries apart, plus the last entry), summed into an opaque value
+     so the loads are kept.  The loads of several rows issued back to
+     back miss in parallel instead of one row at a time. *)
+  let prefetch_row t r =
+    let lo = t.offs.(r) and hi = t.offs.(r + 1) in
+    let acc = ref 0 and k = ref lo in
+    while !k < hi do
+      acc := !acc + Array.unsafe_get t.idx !k + int_of_float (Array.unsafe_get t.v !k);
+      k := !k + 8
+    done;
+    if hi > lo then
+      acc := !acc + Array.unsafe_get t.idx (hi - 1) + int_of_float (Array.unsafe_get t.v (hi - 1));
+    ignore (Sys.opaque_identity !acc)
 
   let axpy_row a t r y =
     for k = t.offs.(r) to t.offs.(r + 1) - 1 do

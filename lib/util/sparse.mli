@@ -96,6 +96,13 @@ module Csr : sig
   (** Concatenate sparse vectors into one CSR batch (one copy, done
       once — e.g. at [fit] time so solver epochs run on flat arrays). *)
 
+  val of_diffs : dim:int -> sparse array -> (int * int) array -> t
+  (** [of_diffs ~dim vs pairs] has one row per pair [(a, b)]: the
+      entries of [sub vs.(a) vs.(b)], bit for bit, written straight
+      into the flat arrays by a count pass and a fill pass, with no
+      intermediate vector per pair.  Raises [Invalid_argument] when a
+      paired vector's dimension is not [dim]. *)
+
   val dim : t -> int
   val rows : t -> int
   val nnz : t -> int
@@ -109,6 +116,11 @@ module Csr : sig
 
   val axpy_row : float -> t -> int -> float array -> unit
   (** [axpy_row a t r y] performs [y <- y + a·row_r], allocation-free. *)
+
+  val prefetch_row : t -> int -> unit
+  (** [prefetch_row t r] reads one entry per cache line of row [r] and
+      discards it, so a caller that knows the next few rows it will
+      visit can have their cache misses overlap.  Changes no result. *)
 
   val norm2_row : t -> int -> float
   (** Squared L2 norm of row [r] = [norm2 (row t r)], allocation-free. *)

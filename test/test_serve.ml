@@ -1527,6 +1527,75 @@ let test_server_shadow_accounting_exact () =
   Client.close c;
   shutdown_server server
 
+(* Every snapshot the server builds — at a reload, and at a canary that
+   a promote then swaps in — must serve, for each of the 17 registered
+   benchmarks, the full-depth rank reply that an in-process
+   [Autotuner.rank_order] of the benchmark's grid gives, byte for byte,
+   whichever domain built which ranking. *)
+let test_reload_and_promote_serve_rank_order () =
+  let b = Lazy.force tuner_b in
+  let mode = Sorl.Autotuner.feature_mode b in
+  let flipped =
+    Sorl.Autotuner.of_model ~mode
+      (Sorl_svmrank.Model.create (Array.map (fun x -> -.x) (Sorl.Autotuner.weights b)))
+  in
+  let expected tuner =
+    List.map
+      (fun inst ->
+        let benchmark = Instance.name inst in
+        let grid = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+        let order = Sorl.Autotuner.rank_order tuner (Features.compile mode inst) grid in
+        let n = Array.length grid in
+        ( Printf.sprintf "sorl1 rank %s %d" benchmark n,
+          Protocol.encode_response
+            (Protocol.Ranked
+               {
+                 benchmark;
+                 total = n;
+                 tunings = Array.to_list (Array.map (fun i -> grid.(i)) order);
+                 approx = false;
+               }) ))
+      Benchmarks.instances
+  in
+  with_temp_dir @@ fun dir ->
+  let store = get (Model_store.open_dir (Filename.concat dir "store")) in
+  List.iter
+    (fun (name, tuner) -> get (Model_store.save store ~name tuner))
+    [ ("default", Lazy.force tuner_a); ("b", b); ("flipped", flipped) ];
+  let obs_log = Filename.concat dir "observations.obs" in
+  let server = start_server ~obs_log dir (Server.Store (store, "default")) in
+  let c = get (Client.connect (Server.address server)) in
+  (* held-out records for the promote decision *)
+  let inst = Benchmarks.instance_by_name benchmark in
+  let set = Tuning.predefined_set ~dims:(Kernel.dims (Instance.kernel inst)) in
+  let measure = Sorl_machine.Measure.model ~noise_amplitude:0.02 ~seed:21 machine in
+  let rng = Sorl_util.Rng.create 78 in
+  for _ = 1 to 80 do
+    let tuning = set.(Sorl_util.Rng.int rng (Array.length set)) in
+    ignore
+      (get
+         (Client.observe c ~benchmark ~tuning
+            ~cost:(Sorl_machine.Measure.runtime measure inst tuning)))
+  done;
+  let check_all what tuner =
+    let (_, ic, oc) as conn = raw_connect server in
+    List.iter
+      (fun (query, want) ->
+        output_string oc (query ^ "\n");
+        flush oc;
+        checks (what ^ ": " ^ query) want (input_line ic))
+      (expected tuner);
+    raw_close conn
+  in
+  ignore (get (Client.reload ~model:"flipped" c));
+  check_all "after reload" flipped;
+  checks "canaried" "b" (get (Client.canary c ~model:"b"));
+  let model, _ = get (Client.promote c) in
+  checks "the candidate is promoted" "b" model;
+  check_all "after canary + promote" b;
+  Client.close c;
+  shutdown_server server
+
 let suite =
   [
     Alcotest.test_case "protocol request roundtrip" `Quick test_protocol_request_roundtrip;
@@ -1592,4 +1661,6 @@ let suite =
       test_undrained_output_closed_by_idle_timeout;
     Alcotest.test_case "canary: exact shadow accounting, replace, promote" `Slow
       test_server_shadow_accounting_exact;
+    Alcotest.test_case "reload and promote serve rank_order bytes, all 17" `Slow
+      test_reload_and_promote_serve_rank_order;
   ]

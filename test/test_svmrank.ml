@@ -395,6 +395,133 @@ let qcheck_tests =
            Eval.mean_tau model ds > 0.8));
   ]
 
+(* ---- the fit path pinned against the vector-at-a-time one ---- *)
+
+(* The fit path as it was: one [Sparse.t] per pair from the list merge
+   ([Test_vec_sparse.list_sub]), packed by [Csr.of_rows], and the
+   Pegasos step as four dense passes (shrink, projection, [w_sum += w]
+   in turn).  The solvers' [train], which packs pair differences
+   straight into CSR and fuses the passes, must give its weights bit
+   for bit. *)
+let listed_pairs ds pairs =
+  let samples = Dataset.samples ds in
+  Array.map
+    (fun (a, b) -> Test_vec_sparse.list_sub samples.(a).Dataset.features samples.(b).Dataset.features)
+    pairs
+
+let four_pass_sgd ?init (params : Solver_sgd.params) ds =
+  let rng = Sorl_util.Rng.create (params.seed + 7919) in
+  let pairs = Dataset.pairs ?max_per_query:params.max_pairs_per_query ~rng ds in
+  let dim = Dataset.dim ds in
+  let zc = Sparse.Csr.of_rows ~dim (listed_pairs ds pairs) in
+  let m = Array.length pairs in
+  let rng = Sorl_util.Rng.create params.seed in
+  let lambda = 1. /. params.c in
+  let radius = 1. /. sqrt lambda in
+  let steps = max 1 (params.epochs * m / params.batch) in
+  let w, t_base =
+    match init with None -> (Array.make dim 0., 0) | Some w0 -> (Array.copy w0, steps)
+  in
+  let w_sum = Array.make dim 0. in
+  let projections = ref 0 in
+  for t = t_base + 1 to t_base + steps do
+    let eta = 1. /. (lambda *. float_of_int t) in
+    Sorl_util.Vec.scale_inplace (1. -. (eta *. lambda)) w;
+    let per = eta /. float_of_int params.batch in
+    for _ = 1 to params.batch do
+      let z = Sorl_util.Rng.int rng m in
+      if Sparse.Csr.dot_row zc z w < 1. then Sparse.Csr.axpy_row per zc z w
+    done;
+    let n = Sorl_util.Vec.norm w in
+    if n > radius then begin
+      incr projections;
+      Sorl_util.Vec.scale_inplace (radius /. n) w
+    end;
+    if params.average then Sorl_util.Vec.add_inplace w_sum w
+  done;
+  if params.average then Sorl_util.Vec.scale_inplace (1. /. float_of_int steps) w_sum;
+  ((if params.average then w_sum else w), !projections)
+
+let weight_bits w = Array.map Int64.bits_of_float w
+
+let check_bits what want got =
+  Alcotest.(check (array int64)) what (weight_bits want) (weight_bits got)
+
+(* 480 samples over 6 Table III benchmarks, extended features. *)
+let fit_dataset =
+  lazy
+    (let machine = Sorl_machine.Machine_desc.xeon_e5_2680_v3 in
+     Sorl.Training.generate
+       ~spec:{ Sorl.Training.size = 480; mode = Sorl_stencil.Features.Extended; seed = 17 }
+       ~instances:(List.filteri (fun i _ -> i mod 3 = 0) Sorl_stencil.Benchmarks.instances)
+       (Sorl_machine.Measure.model ~noise_amplitude:0.02 ~seed:4 machine))
+
+let test_sgd_matches_four_pass () =
+  let ds = Lazy.force fit_dataset in
+  let warm = Model.weights (Solver_sgd.train ~params:{ Solver_sgd.default_params with epochs = 3 } ds) in
+  let fired = ref false in
+  List.iter
+    (fun (c, average, init) ->
+      let params = { Solver_sgd.default_params with c; average; epochs = 4; seed = 3 } in
+      let want, projections = four_pass_sgd ?init params ds in
+      if c < 1. && projections > 0 then fired := true;
+      check_bits
+        (Printf.sprintf "sgd c=%g average=%b init=%b" c average (init <> None))
+        want
+        (Model.weights (Solver_sgd.train ?init ~params ds)))
+    [
+      (100., true, None);
+      (100., false, None);
+      (100., true, Some warm);
+      (100., false, Some warm);
+      (0.01, true, None);
+      (0.01, false, Some warm);
+    ];
+  checkb "the small-C fits hit the Pegasos projection" true !fired
+
+let test_dcd_matches_listed_pairs () =
+  let ds = Lazy.force fit_dataset in
+  let warm = Model.weights (Solver_sgd.train ~params:{ Solver_sgd.default_params with epochs = 3 } ds) in
+  List.iter
+    (fun (shrink, init) ->
+      let params = { Solver_dcd.default_params with shrink; seed = 5 } in
+      let rng = Sorl_util.Rng.create (params.seed + 104729) in
+      let pairs = Dataset.pairs ?max_per_query:params.max_pairs_per_query ~rng ds in
+      check_bits
+        (Printf.sprintf "dcd shrink=%b init=%b" shrink (init <> None))
+        (Model.weights
+           (Solver_dcd.train_on_pairs ?init ~params ~dim:(Dataset.dim ds) (listed_pairs ds pairs)))
+        (Model.weights (Solver_dcd.train ?init ~params ds)))
+    [ (true, None); (false, None); (true, Some warm); (false, Some warm) ]
+
+(* The 17-benchmark, 290-points-each slice [bench/main.exe learn-kernels]
+   times, costed by the machine model; DCD warm-started from an SGD
+   fit of the same slice.  The digest of the weights' bits was computed
+   before pair differences were packed straight into CSR. *)
+let test_dcd_warm_slice_pinned () =
+  let machine = Sorl_machine.Machine_desc.xeon_e5_2680_v3 in
+  let rng = Sorl_util.Rng.create 11 in
+  let ms =
+    List.concat_map
+      (fun inst ->
+        let grid =
+          Sorl_stencil.Tuning.predefined_set
+            ~dims:(Sorl_stencil.Kernel.dims (Sorl_stencil.Instance.kernel inst))
+        in
+        List.init 290 (fun _ ->
+            let tn = Sorl_util.Rng.choose rng grid in
+            (inst, tn, Sorl_machine.Cost_model.runtime_of machine inst tn)))
+      Sorl_stencil.Benchmarks.instances
+  in
+  let ds = Sorl.Training.of_measurements ~mode:Sorl_stencil.Features.Extended ms in
+  let init = Model.weights (Solver_sgd.train ds) in
+  let w = Model.weights (Solver_dcd.train ~init ds) in
+  let b = Buffer.create (8 * Array.length w) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) w;
+  Alcotest.(check string)
+    "warm-started DCD weights digest" "2f90cc8cc7c51c2c432253b5a5e22192"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "dataset grouping" `Quick test_dataset_grouping;
@@ -414,6 +541,10 @@ let suite =
     Alcotest.test_case "solvers agree" `Quick test_solvers_agree_on_direction;
     Alcotest.test_case "solver determinism" `Quick test_solver_determinism;
     Alcotest.test_case "solver validation" `Quick test_solver_validation;
+    Alcotest.test_case "sgd = four-pass step on listed pairs" `Quick test_sgd_matches_four_pass;
+    Alcotest.test_case "dcd = listed pairs" `Quick test_dcd_matches_listed_pairs;
+    Alcotest.test_case "warm dcd on learn-kernels slice pinned" `Quick
+      test_dcd_warm_slice_pinned;
     Alcotest.test_case "untrainable dataset" `Quick test_untrainable_dataset_rejected;
     Alcotest.test_case "model rank" `Quick test_model_rank_stable;
     Alcotest.test_case "sort_by_score edges" `Quick test_sort_by_score_edges;

@@ -92,6 +92,40 @@ let test_sparse_axpy_dense () =
   Sparse.axpy_dense 3. a d;
   Alcotest.(check (array (float 1e-9))) "axpy_dense" [| 1.; 7.; 1. |] d
 
+(* [Sparse.sub] as the tuple-list merge it used to be: the same float
+   operation per entry and the same zero-dropping, kept here so the
+   count-then-fill rewrite (and the CSR pair builder that shares it)
+   is checked bit for bit against it. *)
+let list_sub a b =
+  let ia = Array.map fst (Sparse.nonzeros a) and va = Array.map snd (Sparse.nonzeros a) in
+  let ib = Array.map fst (Sparse.nonzeros b) and vb = Array.map snd (Sparse.nonzeros b) in
+  let out = ref [] in
+  let na = Array.length ia and nb = Array.length ib in
+  let i = ref 0 and j = ref 0 in
+  let push idx v = if v <> 0. then out := (idx, v) :: !out in
+  while !i < na || !j < nb do
+    if !i < na && (!j >= nb || ia.(!i) < ib.(!j)) then begin
+      push ia.(!i) (va.(!i) -. 0.);
+      incr i
+    end
+    else if !j < nb && (!i >= na || ib.(!j) < ia.(!i)) then begin
+      push ib.(!j) (0. -. vb.(!j));
+      incr j
+    end
+    else begin
+      push ia.(!i) (va.(!i) -. vb.(!j));
+      incr i;
+      incr j
+    end
+  done;
+  let entries = List.rev !out in
+  Sparse.of_sorted ~dim:(Sparse.dim a)
+    (Array.of_list (List.map fst entries))
+    (Array.of_list (List.map snd entries))
+
+let bits t =
+  Array.map (fun (i, x) -> (i, Int64.bits_of_float x)) (Sparse.nonzeros t)
+
 let test_sparse_sub_scale () =
   let a = Sparse.of_list ~dim:3 [ (0, 1.); (1, 2.) ] in
   let b = Sparse.of_list ~dim:3 [ (1, 2.); (2, 4.) ] in
@@ -99,6 +133,37 @@ let test_sparse_sub_scale () =
   Alcotest.(check (array (float 1e-9))) "sub" [| 1.; 0.; -4. |] (Sparse.to_dense d);
   (* exact cancellation must not be stored *)
   Alcotest.check Alcotest.int "cancelled entry dropped" 2 (Sparse.nnz d);
+  (* bit for bit the list merge, on vectors with shared, disjoint and
+     exactly cancelling entries, subnormals and huge values *)
+  let rng = Rng.create 97 in
+  let vals = [| 1.; -1.; 0.1; 0.3 -. 0.2; 1e-310; -1e-310; 3.5e300; -2.25 |] in
+  let vector dim =
+    Sparse.of_list ~dim
+      (List.init (Rng.int rng (dim + 1)) (fun _ ->
+           (Rng.int rng dim, vals.(Rng.int rng (Array.length vals)))))
+  in
+  let cancelled = ref 0 in
+  for _ = 1 to 500 do
+    let dim = 1 + Rng.int rng 12 in
+    let a = vector dim in
+    (* a copy with some entries kept, so shared indices cancel exactly *)
+    let b =
+      if Rng.int rng 3 = 0 then a
+      else
+        Sparse.of_list ~dim
+          (List.filter (fun _ -> Rng.int rng 2 = 0) (Array.to_list (Sparse.nonzeros a))
+          @ Array.to_list (Sparse.nonzeros (vector dim)))
+    in
+    let want = list_sub a b and got = Sparse.sub a b in
+    Alcotest.(check (array (pair int int64))) "sub = list merge, bit for bit" (bits want) (bits got);
+    let union =
+      List.length
+        (List.sort_uniq compare
+           (Array.to_list (Array.map fst (Array.append (Sparse.nonzeros a) (Sparse.nonzeros b)))))
+    in
+    if Sparse.nnz got < union then incr cancelled
+  done;
+  checkb "some differences cancelled to exactly 0" true (!cancelled > 50);
   let s = Sparse.scale 0. a in
   Alcotest.check Alcotest.int "scale by zero empties" 0 (Sparse.nnz s)
 
